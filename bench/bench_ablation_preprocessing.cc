@@ -47,7 +47,7 @@ int main() {
       config.train_per_class = 25;
       AggregateMetrics m =
           RunRepeatedExperiment(prep, config, Seeds()).aggregate;
-      table.AddRow({v.label, TablePrinter::Count(prep.pairs.size()),
+      table.AddRow({v.label, TablePrinter::Count(prep.num_candidates()),
                     TablePrinter::Fixed(prep.blocking_quality.recall, 3),
                     TablePrinter::Fixed(m.recall, 3),
                     TablePrinter::Fixed(m.precision, 3),

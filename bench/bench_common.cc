@@ -172,7 +172,9 @@ std::vector<FeatureSweepEntry> RunFeatureSweep(
   std::vector<std::vector<AggregateMetrics>> per_set(all_sets.size());
 
   for (const PreparedDataset& dataset : datasets) {
-    FeatureExtractor extractor(*dataset.index, dataset.pairs);
+    const std::vector<CandidatePair> pairs =
+        GenerateCandidatePairs(*dataset.index);
+    FeatureExtractor extractor(*dataset.index, pairs);
     Matrix full = extractor.ComputeAll();
     for (size_t s = 0; s < all_sets.size(); ++s) {
       const FeatureSet& set = all_sets[s];
@@ -184,7 +186,7 @@ std::vector<FeatureSweepEntry> RunFeatureSweep(
       MetricsAccumulator acc;
       for (size_t seed = 0; seed < seeds; ++seed) {
         config.seed = seed;
-        acc.Add(RunMetaBlockingWithFeatures(dataset, config, features));
+        acc.Add(RunMetaBlockingWithFeatures(dataset, pairs, config, features));
       }
       per_set[s].push_back(acc.Summary());
     }

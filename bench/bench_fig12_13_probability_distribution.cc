@@ -18,15 +18,16 @@ using namespace gsmb::bench;
 
 // Average and maximum of the WNP-style per-node average thresholds — the
 // two horizontal lines of Figure 12.
-std::pair<double, double> NodeThresholds(const PreparedDataset& dataset,
-                                         const std::vector<double>& probs) {
+std::pair<double, double> NodeThresholds(
+    const PreparedDataset& dataset, const std::vector<CandidatePair>& pairs,
+    const std::vector<double>& probs) {
   PruningContext ctx = PruningContext::FromIndex(*dataset.index, dataset.stats);
   std::vector<double> sum(ctx.num_nodes, 0.0);
   std::vector<uint32_t> count(ctx.num_nodes, 0);
-  for (size_t i = 0; i < dataset.pairs.size(); ++i) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
     if (probs[i] < 0.5) continue;
-    size_t a = dataset.pairs[i].left;
-    size_t b = ctx.right_offset + dataset.pairs[i].right;
+    size_t a = pairs[i].left;
+    size_t b = ctx.right_offset + pairs[i].right;
     sum[a] += probs[i];
     ++count[a];
     sum[b] += probs[i];
@@ -53,6 +54,8 @@ int main() {
               "Figures 12 and 13");
 
   PreparedDataset dataset = PrepareByName("AbtBuy");
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(*dataset.index);
 
   // ---- Figure 12: class-wise probability densities. ----
   for (size_t train_size : {20, 100, 500}) {
@@ -62,11 +65,12 @@ int main() {
     config.features = FeatureSet::BlastOptimal();
     config.train_per_class = train_size / 2;
     config.keep_probabilities = true;
-    MetaBlockingResult result = RunMetaBlocking(dataset, config);
+    MetaBlockingResult result = RunMetaBlocking(dataset, pairs, config);
 
     ClassHistogram hist = ComputeClassHistogram(
-        result.probabilities, dataset.is_positive, 10, 0.0, 1.0);
-    auto [avg_thr, max_thr] = NodeThresholds(dataset, result.probabilities);
+        result.probabilities, PositiveMask(dataset), 10, 0.0, 1.0);
+    auto [avg_thr, max_thr] =
+        NodeThresholds(dataset, pairs, result.probabilities);
     std::printf(
         "Figure 12 — AbtBuy, %zu labelled pairs (dup=matching, "
         "non=non-matching):\n%savg node threshold = %.3f, max node "

@@ -57,10 +57,10 @@ int main() {
     for (size_t a = 0; a < 4; ++a) {
       ExperimentResult r = RunRepeatedExperiment(
           dataset, ConfigFor(algos[a], dataset), Seeds());
-      scaling[a].push_back({static_cast<double>(dataset.pairs.size()),
+      scaling[a].push_back({static_cast<double>(dataset.num_candidates()),
                             r.aggregate.rt_seconds});
       std::vector<std::string> row = {
-          spec.name, TablePrinter::Count(dataset.pairs.size()),
+          spec.name, TablePrinter::Count(dataset.num_candidates()),
           algos[a].label};
       for (auto& cell : MetricCells(r.aggregate)) row.push_back(cell);
       row.push_back(TablePrinter::Fixed(r.aggregate.rt_seconds * 1e3, 1));

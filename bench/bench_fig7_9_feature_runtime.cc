@@ -49,6 +49,8 @@ std::vector<FeatureSet> RcnpTop10() {
 
 void TimeSets(const PreparedDataset& dataset, PruningKind kind,
               const std::vector<FeatureSet>& sets, TablePrinter* table) {
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(*dataset.index);
   for (const FeatureSet& set : sets) {
     double total = 0.0;
     for (size_t rep = 0; rep < Seeds(); ++rep) {
@@ -57,7 +59,7 @@ void TimeSets(const PreparedDataset& dataset, PruningKind kind,
       config.features = set;
       config.train_per_class = 250;
       config.seed = rep;
-      MetaBlockingResult result = RunMetaBlocking(dataset, config);
+      MetaBlockingResult result = RunMetaBlocking(dataset, pairs, config);
       total += result.total_seconds;
     }
     table->AddRow({std::to_string(set.Id()), set.ToString(),
@@ -73,7 +75,7 @@ void RunFigure(const char* figure, PruningKind kind,
     TimeSets(dataset, kind, sets, &table);
     std::printf("%s — %s on %s (|C| = %s):\n%s\n", figure,
                 PruningKindName(kind), dataset.name.c_str(),
-                TablePrinter::Count(dataset.pairs.size()).c_str(),
+                TablePrinter::Count(dataset.num_candidates()).c_str(),
                 table.ToString().c_str());
   }
 }

@@ -38,6 +38,18 @@ const PreparedDataset& Prepared() {
   return *prep;
 }
 
+const std::vector<CandidatePair>& Pairs() {
+  static const auto* pairs = new std::vector<CandidatePair>(
+      GenerateCandidatePairs(*Prepared().index));
+  return *pairs;
+}
+
+const std::vector<uint8_t>& Labels() {
+  static const auto* labels =
+      new std::vector<uint8_t>(PositiveMask(Prepared()));
+  return *labels;
+}
+
 void BM_TokenBlocking(benchmark::State& state) {
   const GeneratedCleanClean& d = Data();
   for (auto _ : state) {
@@ -73,31 +85,31 @@ void BM_CandidateGeneration(benchmark::State& state) {
     benchmark::DoNotOptimize(pairs.size());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_CandidateGeneration);
 
 void BM_FeaturesWithoutLcp(benchmark::State& state) {
   const PreparedDataset& prep = Prepared();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, Pairs());
   for (auto _ : state) {
     Matrix m = extractor.Compute(FeatureSet::BlastOptimal());
     benchmark::DoNotOptimize(m.rows());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_FeaturesWithoutLcp);
 
 void BM_FeaturesWithLcp(benchmark::State& state) {
   const PreparedDataset& prep = Prepared();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, Pairs());
   for (auto _ : state) {
     Matrix m = extractor.Compute(FeatureSet::Paper2014());
     benchmark::DoNotOptimize(m.rows());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_FeaturesWithLcp);
 
@@ -122,15 +134,15 @@ BENCHMARK(BM_LogisticRegressionFit)->Arg(50)->Arg(500);
 
 void BM_ClassifierInference(benchmark::State& state) {
   const PreparedDataset& prep = Prepared();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, Pairs());
   Matrix features = extractor.Compute(FeatureSet::BlastOptimal());
   Rng rng(2);
   std::vector<size_t> rows;
   std::vector<int> labels;
-  for (size_t i = 0; i < prep.pairs.size() && labels.size() < 50; ++i) {
-    if (prep.is_positive[i] || rng.NextBool(0.001)) {
+  for (size_t i = 0; i < Pairs().size() && labels.size() < 50; ++i) {
+    if (Labels()[i] || rng.NextBool(0.001)) {
       rows.push_back(i);
-      labels.push_back(prep.is_positive[i]);
+      labels.push_back(Labels()[i]);
     }
   }
   LogisticRegression model;
@@ -140,7 +152,7 @@ void BM_ClassifierInference(benchmark::State& state) {
     benchmark::DoNotOptimize(probs.data());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_ClassifierInference);
 
@@ -156,35 +168,35 @@ void BM_CandidateGenerationParallel(benchmark::State& state) {
     benchmark::DoNotOptimize(pairs.size());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_CandidateGenerationParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_FeaturesParallel(benchmark::State& state) {
   const auto threads = static_cast<size_t>(state.range(0));
   const PreparedDataset& prep = Prepared();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, Pairs());
   for (auto _ : state) {
     Matrix m = extractor.Compute(FeatureSet::BlastOptimal(), threads);
     benchmark::DoNotOptimize(m.rows());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_FeaturesParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ClassifierInferenceParallel(benchmark::State& state) {
   const auto threads = static_cast<size_t>(state.range(0));
   const PreparedDataset& prep = Prepared();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, Pairs());
   Matrix features = extractor.Compute(FeatureSet::BlastOptimal());
   Rng rng(2);
   std::vector<size_t> rows;
   std::vector<int> labels;
-  for (size_t i = 0; i < prep.pairs.size() && labels.size() < 50; ++i) {
-    if (prep.is_positive[i] || rng.NextBool(0.001)) {
+  for (size_t i = 0; i < Pairs().size() && labels.size() < 50; ++i) {
+    if (Labels()[i] || rng.NextBool(0.001)) {
       rows.push_back(i);
-      labels.push_back(prep.is_positive[i]);
+      labels.push_back(Labels()[i]);
     }
   }
   LogisticRegression model;
@@ -194,7 +206,7 @@ void BM_ClassifierInferenceParallel(benchmark::State& state) {
     benchmark::DoNotOptimize(probs.data());
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_ClassifierInferenceParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -202,20 +214,20 @@ void BM_PruningParallel(benchmark::State& state) {
   const PruningKind kind = static_cast<PruningKind>(state.range(0));
   const auto threads = static_cast<size_t>(state.range(1));
   const PreparedDataset& prep = Prepared();
-  std::vector<double> probs(prep.pairs.size());
+  std::vector<double> probs(Pairs().size());
   Rng rng(3);
   for (double& p : probs) p = rng.NextDouble();
   PruningContext ctx = PruningContext::FromIndex(*prep.index, prep.stats);
   ctx.execution.num_threads = threads;
   auto algorithm = MakePruningAlgorithm(kind);
   for (auto _ : state) {
-    auto retained = algorithm->Prune(prep.pairs, probs, ctx);
+    auto retained = algorithm->Prune(Pairs(), probs, ctx);
     benchmark::DoNotOptimize(retained.size());
   }
   state.SetLabel(std::string(PruningKindName(kind)) + "/t" +
                  std::to_string(threads));
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_PruningParallel)
     ->Args({static_cast<int>(PruningKind::kWnp), 1})
@@ -229,18 +241,18 @@ void BM_Pruning(benchmark::State& state) {
   const PruningKind kind = static_cast<PruningKind>(state.range(0));
   const PreparedDataset& prep = Prepared();
   // Synthetic probabilities: deterministic pseudo-random in [0,1].
-  std::vector<double> probs(prep.pairs.size());
+  std::vector<double> probs(Pairs().size());
   Rng rng(3);
   for (double& p : probs) p = rng.NextDouble();
   PruningContext ctx = PruningContext::FromIndex(*prep.index, prep.stats);
   auto algorithm = MakePruningAlgorithm(kind);
   for (auto _ : state) {
-    auto retained = algorithm->Prune(prep.pairs, probs, ctx);
+    auto retained = algorithm->Prune(Pairs(), probs, ctx);
     benchmark::DoNotOptimize(retained.size());
   }
   state.SetLabel(PruningKindName(kind));
   state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * prep.pairs.size()));
+      static_cast<int64_t>(state.iterations() * Pairs().size()));
 }
 BENCHMARK(BM_Pruning)
     ->Arg(static_cast<int>(PruningKind::kBCl))

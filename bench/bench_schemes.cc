@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
-    const StreamingDataset& stream = (*prepared)->stream;
+    const PreparedDataset& dataset = (*prepared)->dataset;
 
     watch.Restart();
     Result<JobResult> result = engine.Run(spec);
@@ -146,11 +146,11 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    table.AddRow({scheme, std::to_string(stream.blocks.size()),
+    table.AddRow({scheme, std::to_string(dataset.blocks.size()),
                   std::to_string(static_cast<size_t>(
                       (*prepared)->num_candidates())),
-                  TablePrinter::Fixed(stream.blocking_quality.recall, 4),
-                  TablePrinter::Fixed(stream.blocking_quality.precision, 4),
+                  TablePrinter::Fixed(dataset.blocking_quality.recall, 4),
+                  TablePrinter::Fixed(dataset.blocking_quality.precision, 4),
                   TablePrinter::Fixed(prepare_ms, 1),
                   TablePrinter::Fixed(run_ms, 1),
                   std::to_string(result->metrics.retained)});

@@ -29,7 +29,6 @@
 #include "datasets/specs.h"
 #include "gsmb/digest.h"
 #include "gsmb/telemetry.h"
-#include "stream/streaming_dataset.h"
 #include "stream/streaming_executor.h"
 #include "util/mem_stats.h"
 #include "util/stopwatch.h"
@@ -106,27 +105,29 @@ int RunChild(const std::string& mode, const std::string& props_path) {
     GroundTruth gt = data.ground_truth;
     const PreparedDataset prep =
         PrepareDirty("bench", data.entities, std::move(gt), blocking);
+    const std::vector<CandidatePair> pairs = GenerateCandidatePairs(
+        *prep.index, blocking.execution.num_threads);
     props["prep_ms"] = std::to_string(watch.ElapsedMillis());
     MetaBlockingConfig digest_config = config;
     digest_config.keep_retained = true;
     watch.Restart();
-    const MetaBlockingResult result = RunMetaBlocking(prep, digest_config);
+    const MetaBlockingResult result =
+        RunMetaBlocking(prep, pairs, digest_config);
     props["run_ms"] = std::to_string(watch.ElapsedMillis());
     obs::PairSetDigest digest;
     for (uint32_t index : result.retained_indices) {
-      const CandidatePair& pair = prep.pairs[index];
+      const CandidatePair& pair = pairs[index];
       digest.AddPair(data.entities[pair.left].external_id(),
                      data.entities[pair.right].external_id());
     }
-    props["pairs"] = std::to_string(prep.pairs.size());
+    props["pairs"] = std::to_string(pairs.size());
     props["retained"] = std::to_string(result.metrics.retained);
     props["retained_digest"] = digest.Hex();
   } else {
     Stopwatch watch;
     GroundTruth gt = data.ground_truth;
-    const StreamingDataset prep =
-        PrepareStreamingDirty("bench", data.entities, std::move(gt),
-                              blocking);
+    const PreparedDataset prep =
+        PrepareDirty("bench", data.entities, std::move(gt), blocking);
     props["prep_ms"] = std::to_string(watch.ElapsedMillis());
     StreamingOptions options;
     options.num_shards = EnvSize("GSMB_STREAM_SHARDS", 64);

@@ -44,7 +44,7 @@ int main() {
     t1.AddRow({prep.name, TablePrinter::Count(spec.e1_size),
                TablePrinter::Count(spec.e2_size),
                TablePrinter::Count(prep.ground_truth.size()),
-               TablePrinter::Count(prep.pairs.size()),
+               TablePrinter::Count(prep.num_candidates()),
                TablePrinter::Count(prep.stats.num_blocks),
                TablePrinter::Count(
                    static_cast<size_t>(prep.stats.total_comparisons))});

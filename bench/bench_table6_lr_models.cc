@@ -19,10 +19,12 @@ int main() {
   std::printf("%s at scale %.4g: %s entities, %s candidates, |D| = %s\n\n",
               spec.name.c_str(), Scale(),
               TablePrinter::Count(spec.num_entities).c_str(),
-              TablePrinter::Count(dataset.pairs.size()).c_str(),
+              TablePrinter::Count(dataset.num_candidates()).c_str(),
               TablePrinter::Count(dataset.ground_truth.size()).c_str());
 
   const FeatureSet features = FeatureSet::BlastOptimal();
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(*dataset.index);
   TablePrinter table({"", "Iteration 1", "Iteration 2", "Iteration 3"});
   std::vector<std::vector<std::string>> columns;
   for (uint64_t seed = 0; seed < 3; ++seed) {
@@ -33,7 +35,7 @@ int main() {
     config.train_per_class = 25;
     config.seed = seed;
     config.keep_retained = true;
-    MetaBlockingResult r = RunMetaBlocking(dataset, config);
+    MetaBlockingResult r = RunMetaBlocking(dataset, pairs, config);
 
     std::vector<std::string> col;
     for (double c : r.model_coefficients) {

@@ -100,9 +100,10 @@ int main() {
 
   // ---- Blocking + meta-blocking. ----
   PreparedDataset prep = PrepareDirty("customers", customers, std::move(gt));
+  const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Token Blocking: %zu blocks -> %zu candidate pairs "
               "(recall %.3f, precision %.4f)\n",
-              prep.blocks.size(), prep.pairs.size(),
+              prep.blocks.size(), pairs.size(),
               prep.blocking_quality.recall, prep.blocking_quality.precision);
 
   for (PruningKind kind : {PruningKind::kBlast, PruningKind::kRcnp}) {
@@ -112,7 +113,7 @@ int main() {
                           ? FeatureSet::BlastOptimal()
                           : FeatureSet::RcnpOptimal();
     config.train_per_class = 25;
-    MetaBlockingResult result = RunMetaBlocking(prep, config);
+    MetaBlockingResult result = RunMetaBlocking(prep, pairs, config);
     std::printf(
         "%-5s kept %5zu pairs: recall %.3f, precision %.3f, F1 %.3f "
         "(%.1f ms)\n",

@@ -30,9 +30,10 @@ int main() {
   GroundTruth gt = data.ground_truth;  // keep a copy for matching eval
   PreparedDataset prep =
       PrepareDirty(spec.name, data.entities, std::move(gt));
+  const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf(
       "\nStage 1 — blocking:       %8zu pairs   Re %.3f  Pr %.5f  F1 %.5f\n",
-      prep.pairs.size(), prep.blocking_quality.recall,
+      pairs.size(), prep.blocking_quality.recall,
       prep.blocking_quality.precision, prep.blocking_quality.f1);
 
   MetaBlockingConfig config;
@@ -40,7 +41,7 @@ int main() {
   config.pruning = PruningKind::kBlast;
   config.train_per_class = 25;
   config.keep_retained = true;
-  MetaBlockingResult mb = RunMetaBlocking(prep, config);
+  MetaBlockingResult mb = RunMetaBlocking(prep, pairs, config);
   std::printf(
       "Stage 2 — meta-blocking:  %8zu pairs   Re %.3f  Pr %.5f  F1 %.5f\n",
       mb.metrics.retained, mb.metrics.recall, mb.metrics.precision,
@@ -48,7 +49,7 @@ int main() {
 
   ThresholdMatcher matcher(/*threshold=*/0.4);
   auto decisions =
-      matcher.Match(data.entities, prep.pairs, mb.retained_indices);
+      matcher.Match(data.entities, pairs, mb.retained_indices);
   MatchingQuality mq = EvaluateMatching(decisions, data.ground_truth);
   std::printf(
       "Stage 3 — matching:       %8zu pairs   Re %.3f  Pr %.5f  F1 %.5f\n",

@@ -42,9 +42,10 @@ int main(int argc, char** argv) {
 
   PreparedDataset prep = PrepareCleanClean("products", catalogue_a,
                                            catalogue_b, std::move(matches));
+  const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Blocking: %zu candidate pairs, recall %.3f, precision "
               "%.5f\n\n",
-              prep.pairs.size(), prep.blocking_quality.recall,
+              pairs.size(), prep.blocking_quality.recall,
               prep.blocking_quality.precision);
 
   // ---- 3. Both probabilistic classifiers, both best pruners. ----
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
                             ? FeatureSet::BlastOptimal()
                             : FeatureSet::RcnpOptimal();
       config.train_per_class = 25;
-      MetaBlockingResult r = RunMetaBlocking(prep, config);
+      MetaBlockingResult r = RunMetaBlocking(prep, pairs, config);
       std::printf(
           "%-18s + %-5s  recall %.3f  precision %.3f  F1 %.3f  (%zu pairs, "
           "%.1f ms)\n",

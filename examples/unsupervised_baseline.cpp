@@ -42,20 +42,22 @@ void PaperRunningExample() {
   BlockCollection blocks = TokenBlocking().Build(phones);
   PreparedDataset prep = PrepareFromBlocks("figure-1", std::move(blocks),
                                            std::move(gt));
+  const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Figure 1 example: %zu blocks, %zu candidate pairs\n",
-              prep.blocks.size(), prep.pairs.size());
+              prep.blocks.size(), pairs.size());
 
   PruningContext ctx = PruningContext::FromIndex(*prep.index, prep.stats);
   auto retained = UnsupervisedMetaBlocking(
-      *prep.index, prep.pairs, EdgeWeightScheme::kCbs, PruningKind::kWnp,
+      *prep.index, pairs, EdgeWeightScheme::kCbs, PruningKind::kWnp,
       ctx);
   std::printf("Unsupervised WNP (CBS weights) keeps %zu pairs:\n",
               retained.size());
   for (uint32_t idx : retained) {
-    const CandidatePair& p = prep.pairs[idx];
+    const CandidatePair& p = pairs[idx];
     std::printf("  (%s, %s)%s\n", phones[p.left].external_id().c_str(),
                 phones[p.right].external_id().c_str(),
-                prep.is_positive[idx] ? "  <- match" : "");
+                prep.ground_truth.IsMatch(p.left, p.right) ? "  <- match"
+                                                           : "");
   }
 }
 
@@ -70,8 +72,9 @@ int main() {
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
   PreparedDataset prep = PrepareCleanClean(
       spec.name, data.e1, data.e2, std::move(data.ground_truth));
+  const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("\n%s: %zu candidate pairs, blocking recall %.3f\n",
-              prep.name.c_str(), prep.pairs.size(),
+              prep.name.c_str(), pairs.size(),
               prep.blocking_quality.recall);
 
   PruningContext ctx = PruningContext::FromIndex(*prep.index, prep.stats);
@@ -80,9 +83,9 @@ int main() {
   for (EdgeWeightScheme scheme :
        {EdgeWeightScheme::kCbs, EdgeWeightScheme::kJs,
         EdgeWeightScheme::kRaccb, EdgeWeightScheme::kWjs}) {
-    auto retained = UnsupervisedMetaBlocking(*prep.index, prep.pairs, scheme,
+    auto retained = UnsupervisedMetaBlocking(*prep.index, pairs, scheme,
                                              PruningKind::kWnp, ctx);
-    EffectivenessMetrics m = EvaluateRetained(retained, prep.is_positive,
+    EffectivenessMetrics m = EvaluateRetained(retained, prep.positive_indices,
                                               prep.ground_truth.size());
     std::printf("unsupervised WNP + %-6s    %.4f   %.4f    %.4f\n",
                 EdgeWeightSchemeName(scheme), m.recall, m.precision, m.f1);
@@ -92,7 +95,7 @@ int main() {
   config.pruning = PruningKind::kWnp;
   config.features = FeatureSet::BlastOptimal();
   config.train_per_class = 25;
-  MetaBlockingResult sup = RunMetaBlocking(prep, config);
+  MetaBlockingResult sup = RunMetaBlocking(prep, pairs, config);
   std::printf("supervised   WNP (50 labels)  %.4f   %.4f    %.4f\n",
               sup.metrics.recall, sup.metrics.precision, sup.metrics.f1);
 

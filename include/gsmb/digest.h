@@ -26,7 +26,7 @@
 namespace gsmb {
 
 struct JobInputs;        // gsmb/prepared.h
-struct StreamingDataset; // stream/streaming_dataset.h
+struct PreparedDataset;  // core/pipeline.h
 
 namespace obs {
 
@@ -93,7 +93,7 @@ uint64_t DatasetFingerprint(const JobInputs& inputs);
 /// post-filter block collection (keys + member ids), its stats and the
 /// candidate count. Two preparations with equal digests imply the same
 /// candidate space.
-uint64_t PreparedStreamDigest(const StreamingDataset& stream);
+uint64_t PreparedStreamDigest(const PreparedDataset& dataset);
 
 }  // namespace obs
 }  // namespace gsmb

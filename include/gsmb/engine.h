@@ -87,8 +87,8 @@ struct JobResult {
   /// blocking as fixed preprocessing.
   double blocking_seconds = 0.0;
   /// Candidate-pair generation: streaming regenerates pairs per shard;
-  /// batch reports the prepared handle's one-off candidate-array
-  /// materialisation cost here.
+  /// batch reports the prepared handle's one-off pair materialisation cost
+  /// here, on the one run that paid it (0 on every later run).
   double generate_seconds = 0.0;
   double feature_seconds = 0.0;
   double train_seconds = 0.0;

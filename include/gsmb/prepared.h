@@ -17,12 +17,12 @@
 // sections — so plain Engine::Run calls, sweeps and long-lived services all
 // share one preparation per distinct (dataset, blocking) pair.
 //
-// A handle carries the counting (streaming) preparation, which every
-// backend can execute from; the batch backend's O(|C|) candidate arrays are
-// materialised lazily, at most once per handle, on first batch execution.
-// Handles are immutable after construction (the lazy batch arrays are
-// logically const: built once, then only read) and safe to share across
-// threads.
+// A handle carries the counting preparation (core/pipeline.h's
+// PreparedDataset), which every backend executes from; the O(|C|) candidate
+// pairs the batch pipeline and the serving bootstrap read are materialised
+// lazily, at most once per handle, on first use. Handles are immutable
+// after construction (the lazy pairs are logically const: built once, then
+// only read) and safe to share across threads.
 
 #ifndef GSMB_API_PREPARED_H_
 #define GSMB_API_PREPARED_H_
@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "blocking/candidate_pairs.h"
+#include "core/pipeline.h"
 #include "er/entity_collection.h"
 #include "er/ground_truth.h"
 #include "gsmb/job_spec.h"
-#include "stream/streaming_dataset.h"
 
 namespace gsmb {
 
@@ -65,29 +65,19 @@ std::string PrepareCacheKey(const JobSpec& spec);
 
 class PreparedInputs {
  public:
-  /// The O(|C|) arrays only the batch pipeline needs: the materialised
-  /// candidate set and its ground-truth labels.
-  struct BatchArrays {
-    std::vector<CandidatePair> pairs;
-    std::vector<uint8_t> is_positive;  // per candidate pair
-    /// One-off cost of materialising these arrays, seconds.
-    double materialize_seconds = 0.0;
-  };
-
   /// Profiles + ground truth, exactly as a backend would have loaded them.
   JobInputs inputs;
   /// The counting preparation: blocks after purging/filtering, the global
-  /// EntityIndex, block stats, blocking quality, and the per-pivot prefix
-  /// offsets that let any backend enumerate the candidate space.
-  StreamingDataset stream;
+  /// EntityIndex, block stats, blocking quality, the per-pivot prefix
+  /// offsets that let any backend enumerate the candidate space, and the
+  /// ascending indices of its ground-truth matches.
+  PreparedDataset dataset;
   /// PrepareCacheKey(spec) of the spec this was prepared from.
   std::string cache_key;
   /// Wall-clock cost of the preparation (load + block + count), seconds.
   /// Feeds JobResult::blocking_seconds through api::ApplyPhaseTimings —
   /// the single-source writer of every backend's timing fields — as the
-  /// one-off cost of the handle, not of the call. (The batch arrays'
-  /// materialize_seconds is reported as generate_seconds, the same phase
-  /// that cost lands in when streaming regenerates pairs per shard.)
+  /// one-off cost of the handle, not of the call.
   double prepare_seconds = 0.0;
   /// Content fingerprint of the loaded dataset (obs::DatasetFingerprint):
   /// profiles + ground truth, independent of how they were loaded.
@@ -95,30 +85,34 @@ class PreparedInputs {
   uint64_t dataset_fingerprint = 0;
   /// Digest of the blocked representation (obs::PreparedStreamDigest):
   /// post-purge/filter blocks + candidate count. Equal digests imply the
-  /// same candidate space — the artifact ROADMAP item 1's prepared
-  /// snapshots and golden-preparation diffs verify against.
+  /// same candidate space — the artifact prepared snapshots and
+  /// golden-preparation diffs verify against.
   uint64_t prepared_digest = 0;
 
-  uint64_t num_candidates() const { return stream.num_candidates(); }
+  uint64_t num_candidates() const { return dataset.num_candidates(); }
 
   /// Lazily materialises (at most once per handle, thread-safe) and returns
-  /// the batch arrays. Streaming-only users never pay this.
-  const BatchArrays& Batch(size_t num_threads) const;
+  /// GenerateCandidatePairs(*dataset.index). Streaming-only users never pay
+  /// this. `materialize_seconds` (optional) receives the build's wall time
+  /// only on the one call that built the pairs and is left untouched on
+  /// every other, so a run charges the cost iff it paid it.
+  const std::vector<CandidatePair>& Pairs(
+      size_t num_threads, double* materialize_seconds = nullptr) const;
 
-  /// True once Batch() has materialised the O(|C|) arrays.
-  bool batch_materialized() const {
-    return batch_ready_.load(std::memory_order_acquire);
+  /// True once Pairs() has materialised the O(|C|) candidate set.
+  bool pairs_materialized() const {
+    return pairs_ready_.load(std::memory_order_acquire);
   }
 
   /// Approximate resident bytes of this handle (profiles, blocks, index,
-  /// counting arrays, plus the batch arrays when materialised). Drives the
+  /// counting arrays, plus the pairs when materialised). Drives the
   /// prepare cache's byte-budget eviction; an estimate, not an audit.
   size_t ApproxBytes() const;
 
  private:
-  mutable std::once_flag batch_once_;
-  mutable BatchArrays batch_;
-  mutable std::atomic<bool> batch_ready_{false};
+  mutable std::once_flag pairs_once_;
+  mutable std::vector<CandidatePair> pairs_;
+  mutable std::atomic<bool> pairs_ready_{false};
 };
 
 /// How Prepare hands out preparations: shared and immutable. A handle keeps

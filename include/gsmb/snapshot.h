@@ -5,11 +5,10 @@
 // harness and CI job paid its own load + block + count. A prepared snapshot
 // serializes the preparation's *sources of truth* (profiles, ground truth,
 // and the post-purge/filter block collection) and rebuilds the rest — the
-// EntityIndex, block stats, and the streaming counting preparation — on
-// load, through the exact deterministic code path a cold Prepare takes
-// (PrepareStreamingFromBlocks). A loaded handle is therefore bit-identical
-// to a cold preparation, and the file does not duplicate state that could
-// drift from the build path.
+// EntityIndex, block stats, and the counting sweep — on load, through the
+// exact deterministic code path a cold Prepare takes (PrepareFromBlocks).
+// A loaded handle is therefore bit-identical to a cold preparation, and the
+// file does not duplicate state that could drift from the build path.
 //
 // Verified, not trusted: the file embeds the preparation's
 // obs::DatasetFingerprint and obs::PreparedStreamDigest, and Load recomputes

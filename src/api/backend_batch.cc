@@ -1,7 +1,7 @@
 // The batch backend: the in-memory pipeline of core/ behind the Executor
 // interface. Supports every spec — it is the reference semantics the other
 // backends are equivalent to. Executes against a shared PreparedInputs
-// handle, materialising the handle's O(|C|) candidate arrays lazily (at
+// handle, materialising the handle's O(|C|) candidate pairs lazily (at
 // most once per handle, however many configurations run against it).
 
 #include <utility>
@@ -39,39 +39,31 @@ class BatchBackend : public Executor {
 Result<JobResult> RunBatchOn(const JobSpec& spec,
                              const PreparedInputs& prepared) {
   const JobInputs& inputs = prepared.inputs;
-  const PreparedInputs::BatchArrays& batch =
-      prepared.Batch(ResolvedExecution(spec).num_threads);
+  // The handle's one-off candidate materialisation is this backend's
+  // pair-generation cost, charged only to the run that paid it.
+  double materialize_seconds = 0.0;
+  const std::vector<CandidatePair>& pairs = prepared.Pairs(
+      ResolvedExecution(spec).num_threads, &materialize_seconds);
 
   MetaBlockingConfig config = ConfigFromSpec(spec);
   const bool want_csv = !spec.output.retained_csv.empty();
   // The retained indices always survive the pipeline now: the provenance
   // digest below folds every retained pair, CSV output or not. The cost is
-  // one uint32 per retained pair, dwarfed by the materialised batch arrays.
+  // one uint32 per retained pair, dwarfed by the materialised pairs.
   config.keep_retained = true;
 
-  PreparedRef ref;
-  ref.name = &prepared.stream.name;
-  ref.index = prepared.stream.index.get();
-  ref.stats = &prepared.stream.stats;
-  ref.pairs = &batch.pairs;
-  ref.is_positive = &batch.is_positive;
-  ref.num_ground_truth = prepared.stream.ground_truth.size();
-
-  MetaBlockingResult run = RunMetaBlocking(ref, config);
+  MetaBlockingResult run = RunMetaBlocking(prepared.dataset, pairs, config);
 
   JobResult result;
   result.backend = "batch";
   result.metrics = run.metrics;
-  result.blocking_quality = prepared.stream.blocking_quality;
-  result.num_blocks = prepared.stream.blocks.size();
-  result.num_candidates = batch.pairs.size();
+  result.blocking_quality = prepared.dataset.blocking_quality;
+  result.num_blocks = prepared.dataset.blocks.size();
+  result.num_candidates = pairs.size();
   result.training_size = run.training_size;
   result.model_coefficients = run.model_coefficients;
-  // Phase breakdown from the pipeline's telemetry clock; the handle's lazy
-  // candidate materialisation is this backend's pair-generation cost
-  // (one-off per handle, reported by every run against it).
   obs::PhaseTimings phases = run.phases;
-  phases.Add(obs::Phase::kPairs, batch.materialize_seconds);
+  phases.Add(obs::Phase::kPairs, materialize_seconds);
   ApplyPhaseTimings(phases, prepared.prepare_seconds, &result);
   result.shards_used = 1;
 
@@ -81,7 +73,7 @@ Result<JobResult> RunBatchOn(const JobSpec& spec,
   result.prepared_digest = prepared.prepared_digest;
   obs::PairSetDigest digest;
   for (uint32_t index : run.retained_indices) {
-    const CandidatePair& pair = batch.pairs[index];
+    const CandidatePair& pair = pairs[index];
     digest.AddPair(inputs.ExternalLeftId(pair.left),
                    inputs.ExternalRightId(pair.right));
   }
@@ -98,7 +90,7 @@ Result<JobResult> RunBatchOn(const JobSpec& spec,
     Result<std::ofstream> csv = OpenRetainedCsv(spec.output.retained_csv);
     if (!csv.ok()) return csv.status();
     for (uint32_t index : run.retained_indices) {
-      const CandidatePair& pair = batch.pairs[index];
+      const CandidatePair& pair = pairs[index];
       AppendRetainedCsvRow(*csv, inputs.ExternalLeftId(pair.left),
                            inputs.ExternalRightId(pair.right));
     }
@@ -109,7 +101,7 @@ Result<JobResult> RunBatchOn(const JobSpec& spec,
   if (spec.output.keep_retained) {
     result.retained.reserve(run.retained_indices.size());
     for (uint32_t index : run.retained_indices) {
-      const CandidatePair& pair = batch.pairs[index];
+      const CandidatePair& pair = pairs[index];
       result.retained.push_back({inputs.ExternalLeftId(pair.left),
                                  inputs.ExternalRightId(pair.right)});
     }

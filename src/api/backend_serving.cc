@@ -86,8 +86,8 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
   size_t training_size = 0;
   obs::PhaseTimings phases;
   Result<MetaBlockingSession> session =
-      BuildServingSession(spec, inputs, /*cold_build_universe=*/true,
-                          &training_size, &phases, &prepared);
+      BuildServingSession(spec, prepared, /*cold_build_universe=*/true,
+                          &training_size, &phases);
   if (!session.ok()) return session.status();
 
   JobResult result;
@@ -155,41 +155,26 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
 }
 
 Result<MetaBlockingSession> BuildServingSession(const JobSpec& spec,
-                                                const JobInputs& inputs,
+                                                const PreparedInputs& prepared,
                                                 bool cold_build_universe,
                                                 size_t* training_size,
-                                                obs::PhaseTimings* phases,
-                                                const PreparedInputs* prepared) {
-  // Train exactly like the batch backend trains: same blocking options,
-  // same balanced-sample seed, same classifier. The trainer folds the
-  // standardisation into raw-space weights, the one representation a
-  // snapshot can carry. With a prepared handle the trainer consumes its
-  // blocked, labelled candidate view (the same arrays batch executes
-  // against) instead of re-blocking the collection itself.
+                                                obs::PhaseTimings* phases) {
+  // Train exactly like the batch backend trains: same preparation, same
+  // balanced-sample seed, same classifier, over the handle's candidate
+  // pairs. The trainer folds the standardisation into raw-space weights,
+  // the one representation a snapshot can carry.
+  const JobInputs& inputs = prepared.inputs;
   ServingModelTraining training;
   training.classifier = spec.classifier;
   training.train_per_class = spec.training.labels_per_class;
   training.seed = spec.training.seed;
-  training.blocking = BlockingOptionsFromSpec(spec);
   training.execution = ResolvedExecution(spec);
   obs::PhaseTimings build_phases;
   ServingModel model = [&] {
     obs::ScopedPhase phase(&build_phases, obs::Phase::kTrain);
-    if (prepared != nullptr) {
-      const PreparedInputs::BatchArrays& batch =
-          prepared->Batch(ResolvedExecution(spec).num_threads);
-      PreparedRef ref;
-      ref.name = &prepared->stream.name;
-      ref.index = prepared->stream.index.get();
-      ref.stats = &prepared->stream.stats;
-      ref.pairs = &batch.pairs;
-      ref.is_positive = &batch.is_positive;
-      ref.num_ground_truth = prepared->stream.ground_truth.size();
-      return TrainServingModelFromPrepared(ref, spec.features, training,
-                                           training_size);
-    }
-    return TrainServingModel(inputs.e1, inputs.ground_truth, spec.features,
-                             training, training_size);
+    return TrainServingModelFromPrepared(
+        prepared.dataset, prepared.Pairs(training.execution.num_threads),
+        spec.features, training, training_size);
   }();
 
   SessionOptions options;

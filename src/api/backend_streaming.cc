@@ -4,7 +4,7 @@
 // documents why); retained CSV rows stream straight to disk so the mode
 // never buffers O(retained) memory. Executes straight off a shared
 // PreparedInputs handle's counting preparation — a streaming-only sweep
-// never materialises the O(|C|) batch arrays.
+// never materialises the O(|C|) candidate pairs.
 
 #include <utility>
 
@@ -42,7 +42,7 @@ class StreamingBackend : public Executor {
 Result<JobResult> RunStreamingOn(const JobSpec& spec,
                                  const PreparedInputs& prepared) {
   const JobInputs& inputs = prepared.inputs;
-  const StreamingDataset& prep = prepared.stream;
+  const PreparedDataset& prep = prepared.dataset;
 
   StreamingOptions options;
   options.num_shards = spec.execution.shards;

@@ -121,7 +121,7 @@ Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec) {
         GSMB_SPAN("blocking");
         return BuildPreprocessedBlocks(spec, prepared->inputs);
       }();
-      prepared->stream = PrepareStreamingFromBlocks(
+      prepared->dataset = PrepareFromBlocks(
           "job", std::move(blocks), prepared->inputs.ground_truth,
           ResolvedExecution(spec).num_threads);
     }
@@ -132,10 +132,10 @@ Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec) {
     // and sweep variant through the cache.
     prepared->dataset_fingerprint =
         obs::DatasetFingerprint(prepared->inputs);
-    prepared->prepared_digest = obs::PreparedStreamDigest(prepared->stream);
+    prepared->prepared_digest = obs::PreparedStreamDigest(prepared->dataset);
     GSMB_LOG_INFO("prepare.done",
                   {"candidates", prepared->num_candidates()},
-                  {"blocks", prepared->stream.blocks.size()},
+                  {"blocks", prepared->dataset.blocks.size()},
                   {"seconds", prepared->prepare_seconds},
                   {"dataset_fingerprint",
                    obs::DigestHex(prepared->dataset_fingerprint)},
@@ -159,21 +159,15 @@ BlockCollection BuildPreprocessedBlocks(const JobSpec& spec,
                              "' is not registered");
   }
   BlockCollection raw = blocker->Build(inputs, spec.blocking, threads);
-  return PreprocessBlocks(std::move(raw), BlockingOptionsFromSpec(spec));
+  BlockingOptions options;
+  options.purge_size_fraction = spec.blocking.purge_size_fraction;
+  options.filter_ratio = spec.blocking.filter_ratio;
+  return PreprocessBlocks(std::move(raw), options);
 }
 
 ExecutionOptions ResolvedExecution(const JobSpec& spec) {
   ExecutionOptions options = spec.execution.options;
   if (options.num_threads == 0) options.num_threads = HardwareThreads();
-  return options;
-}
-
-BlockingOptions BlockingOptionsFromSpec(const JobSpec& spec) {
-  BlockingOptions options;
-  options.min_token_length = spec.blocking.min_token_length;
-  options.purge_size_fraction = spec.blocking.purge_size_fraction;
-  options.filter_ratio = spec.blocking.filter_ratio;
-  options.execution = ResolvedExecution(spec);
   return options;
 }
 
@@ -501,7 +495,7 @@ Result<JobResult> Engine::Execute(const JobSpec& spec,
       return executor->Execute(spec);
     }
     Result<JobResult> result = executor->ExecutePrepared(spec, prepared);
-    // Lazy materialisation (the batch O(|C|) arrays) can grow a cached
+    // Lazy materialisation (the O(|C|) candidate pairs) can grow a cached
     // entry after its insert-time budget check; re-enforce now.
     EnforcePrepareBudget();
     return result;
@@ -602,14 +596,12 @@ Result<MetaBlockingSession> Engine::OpenSession(const JobSpec& spec) const {
   if (!supported.ok()) return supported;
   try {
     // Prepare through the cache: the session's bootstrap training consumes
-    // the handle's batch arrays, and a later Run() of the same spec reuses
-    // the same preparation.
+    // the handle's pairs, and a later Run() of the same spec reuses the
+    // same preparation.
     Result<PreparedHandle> prepared = Prepare(spec);
     if (!prepared.ok()) return prepared.status();
-    return api::BuildServingSession(spec, (*prepared)->inputs,
-                                    /*cold_build_universe=*/false,
-                                    /*training_size=*/nullptr,
-                                    /*phases=*/nullptr, (*prepared).get());
+    return api::BuildServingSession(spec, **prepared,
+                                    /*cold_build_universe=*/false);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("OpenSession failed: ") + e.what());
   }

@@ -6,30 +6,25 @@
 
 namespace gsmb {
 
-const PreparedInputs::BatchArrays& PreparedInputs::Batch(
-    size_t num_threads) const {
+const std::vector<CandidatePair>& PreparedInputs::Pairs(
+    size_t num_threads, double* materialize_seconds) const {
   // call_once makes the lazy materialisation safe under concurrent Execute
-  // calls against one shared handle: every caller gets the same arrays,
+  // calls against one shared handle: every caller gets the same pairs,
   // built exactly once. The winner's thread count shapes only the build's
   // wall clock — GenerateCandidatePairs is bit-identical for any value.
-  std::call_once(batch_once_, [&] {
+  std::call_once(pairs_once_, [&] {
     // The batch backend's pair-generation phase happens here, inside the
     // handle — span it so a batch trace shows the same canonical phases
     // as a streaming one.
     GSMB_SPAN("pairs");
     Stopwatch watch;
-    batch_.pairs = GenerateCandidatePairs(*stream.index, num_threads);
-    batch_.is_positive.resize(batch_.pairs.size());
-    for (size_t i = 0; i < batch_.pairs.size(); ++i) {
-      batch_.is_positive[i] = stream.ground_truth.IsMatch(
-                                  batch_.pairs[i].left, batch_.pairs[i].right)
-                                  ? 1
-                                  : 0;
+    pairs_ = GenerateCandidatePairs(*dataset.index, num_threads);
+    if (materialize_seconds != nullptr) {
+      *materialize_seconds = watch.ElapsedSeconds();
     }
-    batch_.materialize_seconds = watch.ElapsedSeconds();
-    batch_ready_.store(true, std::memory_order_release);
+    pairs_ready_.store(true, std::memory_order_release);
   });
-  return batch_;
+  return pairs_;
 }
 
 namespace {
@@ -75,14 +70,11 @@ size_t PreparedInputs::ApproxBytes() const {
   bytes += ProfileBytes(inputs.e1) + ProfileBytes(inputs.e2);
   // The ground truth is held twice (inputs + the counting preparation).
   bytes += 2 * GroundTruthBytes(inputs.ground_truth);
-  bytes += BlockBytes(stream.blocks);
-  if (stream.index != nullptr) bytes += IndexBytes(*stream.index);
-  bytes += stream.pivot_offsets.size() * sizeof(uint64_t);
-  bytes += stream.positive_indices.size() * sizeof(uint64_t);
-  if (batch_materialized()) {
-    bytes += batch_.pairs.size() * sizeof(CandidatePair) +
-             batch_.is_positive.size();
-  }
+  bytes += BlockBytes(dataset.blocks);
+  if (dataset.index != nullptr) bytes += IndexBytes(*dataset.index);
+  bytes += dataset.pivot_offsets.size() * sizeof(uint64_t);
+  bytes += dataset.positive_indices.size() * sizeof(uint64_t);
+  if (pairs_materialized()) bytes += pairs_.size() * sizeof(CandidatePair);
   return bytes;
 }
 

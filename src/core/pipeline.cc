@@ -9,34 +9,22 @@
 #include "gsmb/telemetry.h"
 #include "ml/sampler.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace gsmb {
 
 namespace {
 
-PreparedDataset FinishPreparation(const std::string& name,
-                                  BlockCollection blocks,
-                                  GroundTruth ground_truth,
-                                  size_t num_threads) {
-  PreparedDataset prep;
-  prep.name = name;
-  prep.clean_clean = blocks.clean_clean();
-  prep.ground_truth = std::move(ground_truth);
-  prep.blocks = std::move(blocks);
-  prep.index = std::make_unique<EntityIndex>(prep.blocks, num_threads);
-  prep.pairs = GenerateCandidatePairs(*prep.index, num_threads);
-  prep.stats = ComputeBlockStats(prep.blocks);
-  prep.blocking_quality =
-      EvaluateBlockingQuality(prep.pairs, prep.ground_truth);
-  prep.is_positive.resize(prep.pairs.size());
-  for (size_t i = 0; i < prep.pairs.size(); ++i) {
-    prep.is_positive[i] =
-        prep.ground_truth.IsMatch(prep.pairs[i].left, prep.pairs[i].right)
-            ? 1
-            : 0;
-  }
-  return prep;
-}
+// Mirrors the pivot chunking of blocking/candidate_pairs.cc.
+constexpr size_t kPivotChunkGrain = 1024;
+
+// A ground-truth match found during the counting sweep, addressed by its
+// (pivot, rank-within-pivot) position so it can be turned into a global
+// candidate index once the prefix sums exist.
+struct LocalPositive {
+  uint64_t pivot;
+  uint64_t rank;
+};
 
 }  // namespace
 
@@ -58,7 +46,7 @@ PreparedDataset PrepareCleanClean(const std::string& name,
   }
   BlockCollection raw = TokenBlocking(options.min_token_length)
       .Build(e1, e2, options.execution.num_threads);
-  return FinishPreparation(name, PreprocessBlocks(std::move(raw), options),
+  return PrepareFromBlocks(name, PreprocessBlocks(std::move(raw), options),
                            std::move(ground_truth), options.execution.num_threads);
 }
 
@@ -72,7 +60,7 @@ PreparedDataset PrepareDirty(const std::string& name,
   }
   BlockCollection raw = TokenBlocking(options.min_token_length)
       .Build(e, options.execution.num_threads);
-  return FinishPreparation(name, PreprocessBlocks(std::move(raw), options),
+  return PrepareFromBlocks(name, PreprocessBlocks(std::move(raw), options),
                            std::move(ground_truth), options.execution.num_threads);
 }
 
@@ -80,8 +68,69 @@ PreparedDataset PrepareFromBlocks(const std::string& name,
                                   BlockCollection blocks,
                                   GroundTruth ground_truth,
                                   size_t num_threads) {
-  return FinishPreparation(name, std::move(blocks), std::move(ground_truth),
-                           num_threads);
+  PreparedDataset prep;
+  prep.name = name;
+  prep.clean_clean = blocks.clean_clean();
+  prep.ground_truth = std::move(ground_truth);
+  prep.blocks = std::move(blocks);
+  prep.index = std::make_unique<EntityIndex>(prep.blocks, num_threads);
+  prep.stats = ComputeBlockStats(prep.blocks);
+
+  // One counting sweep: per-pivot candidate counts plus the positions of
+  // the ground-truth matches among them. Chunk-owned outputs concatenate
+  // in chunk order, so both results are identical for any thread count.
+  const EntityIndex& index = *prep.index;
+  const size_t num_pivots = NumCandidatePivots(index);
+  std::vector<uint64_t> counts(num_pivots, 0);
+  const std::vector<ChunkRange> chunks =
+      DeterministicChunks(num_pivots, kPivotChunkGrain);
+  std::vector<std::vector<LocalPositive>> positive_parts(chunks.size());
+  ParallelFor(chunks.size(), num_threads,
+              [&](size_t chunks_begin, size_t chunks_end) {
+                PivotNeighbourGenerator generator(index);
+                std::vector<EntityId> neighbours;
+                for (size_t c = chunks_begin; c < chunks_end; ++c) {
+                  for (size_t p = chunks[c].begin; p < chunks[c].end; ++p) {
+                    generator.Generate(p, &neighbours);
+                    counts[p] = neighbours.size();
+                    for (size_t rank = 0; rank < neighbours.size(); ++rank) {
+                      if (prep.ground_truth.IsMatch(
+                              static_cast<EntityId>(p), neighbours[rank])) {
+                        positive_parts[c].push_back({p, rank});
+                      }
+                    }
+                  }
+                }
+              });
+
+  prep.pivot_offsets.resize(num_pivots + 1, 0);
+  for (size_t p = 0; p < num_pivots; ++p) {
+    prep.pivot_offsets[p + 1] = prep.pivot_offsets[p] + counts[p];
+  }
+
+  // Chunks ascending, pivots ascending within a chunk, ranks ascending
+  // within a pivot => global indices ascending.
+  for (const std::vector<LocalPositive>& part : positive_parts) {
+    for (const LocalPositive& positive : part) {
+      prep.positive_indices.push_back(prep.pivot_offsets[positive.pivot] +
+                                      positive.rank);
+    }
+  }
+
+  // Table 2's measures are the retained-set measures of the whole
+  // candidate set: |C ∩ D| out of |C| candidates and |D| matches.
+  const EffectivenessMetrics quality = MetricsFromCounts(
+      prep.positive_indices.size(), prep.num_candidates(),
+      prep.ground_truth.size());
+  prep.blocking_quality = {quality.retained, quality.true_positives,
+                           quality.recall, quality.precision, quality.f1};
+  return prep;
+}
+
+std::vector<uint8_t> PositiveMask(const PreparedDataset& dataset) {
+  std::vector<uint8_t> mask(dataset.num_candidates(), 0);
+  for (uint64_t index : dataset.positive_indices) mask[index] = 1;
+  return mask;
 }
 
 EffectivenessMetrics MetricsFromCounts(size_t true_positives, size_t retained,
@@ -105,55 +154,45 @@ EffectivenessMetrics MetricsFromCounts(size_t true_positives, size_t retained,
 
 EffectivenessMetrics EvaluateRetained(
     const std::vector<uint32_t>& retained_indices,
-    const std::vector<uint8_t>& is_positive, size_t num_ground_truth) {
+    const std::vector<uint64_t>& positive_indices, size_t num_ground_truth) {
   size_t true_positives = 0;
+  size_t p = 0;
   for (uint32_t idx : retained_indices) {
-    if (is_positive[idx]) ++true_positives;
+    while (p < positive_indices.size() && positive_indices[p] < idx) ++p;
+    if (p < positive_indices.size() && positive_indices[p] == idx) {
+      ++true_positives;
+    }
   }
   return MetricsFromCounts(true_positives, retained_indices.size(),
                            num_ground_truth);
 }
 
-PreparedRef RefOf(const PreparedDataset& dataset) {
-  PreparedRef ref;
-  ref.name = &dataset.name;
-  ref.index = dataset.index.get();
-  ref.stats = &dataset.stats;
-  ref.pairs = &dataset.pairs;
-  ref.is_positive = &dataset.is_positive;
-  ref.num_ground_truth = dataset.ground_truth.size();
-  return ref;
-}
-
 MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
+                                   const std::vector<CandidatePair>& pairs,
                                    const MetaBlockingConfig& config) {
-  return RunMetaBlocking(RefOf(dataset), config);
-}
-
-MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
-                                   const MetaBlockingConfig& config) {
+  if (pairs.size() != dataset.num_candidates()) {
+    throw std::invalid_argument(
+        "RunMetaBlocking: pairs are not the dataset's candidate set");
+  }
   obs::PhaseTimings timings;
   Matrix features = [&] {
     obs::ScopedPhase phase(&timings, obs::Phase::kFeatures);
-    FeatureExtractor extractor(*prepared.index, *prepared.pairs);
+    FeatureExtractor extractor(*dataset.index, pairs);
     return extractor.Compute(config.features, config.execution.num_threads);
   }();
-  return RunMetaBlockingWithFeatures(prepared, config, features,
+  return RunMetaBlockingWithFeatures(dataset, pairs, config, features,
                                      timings.Get(obs::Phase::kFeatures));
 }
 
 MetaBlockingResult RunMetaBlockingWithFeatures(
-    const PreparedDataset& dataset, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint) {
-  return RunMetaBlockingWithFeatures(RefOf(dataset), config, features,
-                                     feature_seconds_hint);
-}
-
-MetaBlockingResult RunMetaBlockingWithFeatures(
-    const PreparedRef& prepared, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint) {
-  const std::vector<CandidatePair>& pairs = *prepared.pairs;
-  const std::vector<uint8_t>& is_positive = *prepared.is_positive;
+    const PreparedDataset& dataset, const std::vector<CandidatePair>& pairs,
+    const MetaBlockingConfig& config, const Matrix& features,
+    double feature_seconds_hint) {
+  if (pairs.size() != dataset.num_candidates()) {
+    throw std::invalid_argument(
+        "RunMetaBlockingWithFeatures: pairs are not the dataset's candidate "
+        "set");
+  }
   if (features.rows() != pairs.size()) {
     throw std::invalid_argument(
         "RunMetaBlockingWithFeatures: feature rows != candidate pairs");
@@ -171,12 +210,13 @@ MetaBlockingResult RunMetaBlockingWithFeatures(
   {
     obs::ScopedPhase phase(&result.phases, obs::Phase::kTrain);
     Rng rng(config.seed);
-    TrainingSet training =
-        SampleBalanced(is_positive, config.train_per_class, &rng);
+    TrainingSet training = SampleBalancedFromPlan(
+        dataset.positive_indices, dataset.num_candidates(),
+        config.train_per_class, &rng);
     if (training.size() < 2) {
       throw std::runtime_error(
           "RunMetaBlocking: not enough labelled pairs to train (dataset '" +
-          *prepared.name + "')");
+          dataset.name + "')");
     }
     Matrix train_x = features.SelectRows(training.row_indices);
     model = MakeClassifier(config.classifier, config.seed);
@@ -197,7 +237,7 @@ MetaBlockingResult RunMetaBlockingWithFeatures(
   {
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
     PruningContext context =
-        PruningContext::FromIndex(*prepared.index, *prepared.stats);
+        PruningContext::FromIndex(*dataset.index, dataset.stats);
     context.blast_ratio = config.blast_ratio;
     context.validity_threshold = config.validity_threshold;
     context.execution = config.execution;
@@ -213,8 +253,8 @@ MetaBlockingResult RunMetaBlockingWithFeatures(
                          result.classify_seconds + result.prune_seconds;
   obs::CounterAdd("pairs.generated", pairs.size());
   obs::CounterAdd("pairs.retained", retained.size());
-  result.metrics =
-      EvaluateRetained(retained, is_positive, prepared.num_ground_truth);
+  result.metrics = EvaluateRetained(retained, dataset.positive_indices,
+                                    dataset.ground_truth.size());
   if (config.keep_probabilities) result.probabilities = std::move(probabilities);
   if (config.keep_retained) result.retained_indices = std::move(retained);
   return result;

@@ -2,16 +2,20 @@
 //
 // Prepare*() performs the fixed, per-dataset preprocessing of the paper's
 // Section 5.1: Token Blocking -> Block Purging -> Block Filtering (0.8) ->
-// candidate-pair generation, and records the blocking-quality numbers of
-// Table 2. RunMetaBlocking() then executes one experiment configuration:
-// extract features, sample a balanced training set, train the probabilistic
+// one counting sweep over the candidate space, which records the
+// blocking-quality numbers of Table 2 without storing the candidates.
+// RunMetaBlocking() then executes one experiment configuration over the
+// materialised candidate set (GenerateCandidatePairs(*prep.index)): extract
+// features, sample a balanced training set, train the probabilistic
 // classifier, weight all candidate pairs, prune, and evaluate — reporting
 // the paper's measures (recall, precision, F1) and the run-time breakdown
-// that makes up RT.
+// that makes up RT. The bounded-memory executor (stream/) runs the same
+// configuration off the same preparation, one shard of pairs at a time.
 
 #ifndef GSMB_CORE_PIPELINE_H_
 #define GSMB_CORE_PIPELINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,24 +55,45 @@ struct BlockingOptions {
 
 /// A dataset after blocking: everything the experiments reuse across
 /// configurations. Movable, not copyable (owns the entity index).
+///
+/// The candidate set itself is only counted, never stored — it is O(|C|)
+/// and a pure function of `index`. What any consumer needs to enumerate or
+/// label a slice of the global candidate order is:
+///
+///   pivot_offsets      prefix sums of the per-pivot candidate counts; the
+///                      pair at global index i belongs to the pivot p with
+///                      pivot_offsets[p] <= i < pivot_offsets[p+1], and its
+///                      partner is that pivot's (i - pivot_offsets[p])-th
+///                      distinct neighbour. O(#pivots).
+///   positive_indices   the global candidate indices that are ground-truth
+///                      matches, ascending. O(|D ∩ C|) — the one label
+///                      representation both the balanced sampler and the
+///                      retained-set evaluation read.
+///
+/// The global order is GenerateCandidatePairs(*index)'s, so callers that
+/// want every pair up front materialise them with that call.
 struct PreparedDataset {
   std::string name;
   bool clean_clean = true;
   GroundTruth ground_truth;
   BlockCollection blocks;  // after purging + filtering
   std::unique_ptr<EntityIndex> index;
-  std::vector<CandidatePair> pairs;
-  std::vector<uint8_t> is_positive;  // per candidate pair
   BlockCollectionStats stats;
-  BlockingQuality blocking_quality;  // Table 2 row
+  BlockingQuality blocking_quality;  // Table 2 row, counted
 
-  size_t num_candidates() const { return pairs.size(); }
+  /// Prefix sums of per-pivot candidate counts; size NumCandidatePivots+1.
+  std::vector<uint64_t> pivot_offsets;
+  /// Ascending global candidate indices that are ground-truth matches.
+  std::vector<uint64_t> positive_indices;
+
+  uint64_t num_candidates() const {
+    return pivot_offsets.empty() ? 0 : pivot_offsets.back();
+  }
 };
 
 /// The fixed preprocessing of every preparation path: Block Purging then
-/// Block Filtering with the options' parameters. Shared with the streaming
-/// preparation (stream/streaming_dataset.cc) so the two paths' implied
-/// candidate sets cannot drift apart.
+/// Block Filtering with the options' parameters. The Engine's preparation
+/// (api/engine.cc) applies it to the blocks of every registered scheme.
 BlockCollection PreprocessBlocks(BlockCollection raw,
                                  const BlockingOptions& options);
 
@@ -87,11 +112,18 @@ PreparedDataset PrepareDirty(const std::string& name,
 
 /// As above, but starting from an existing block collection (any
 /// redundancy-positive blocking method; purging/filtering already applied
-/// or intentionally skipped by the caller).
+/// or intentionally skipped by the caller). The one finisher every
+/// preparation goes through: index, block stats and the counting sweep,
+/// bit-identical for any `num_threads`.
 PreparedDataset PrepareFromBlocks(const std::string& name,
                                   BlockCollection blocks,
                                   GroundTruth ground_truth,
                                   size_t num_threads = 1);
+
+/// One label byte per candidate (1 = ground-truth match), expanded from
+/// `positive_indices` — for consumers whose API takes a dense label vector
+/// (progressive schedules, probability histograms).
+std::vector<uint8_t> PositiveMask(const PreparedDataset& dataset);
 
 /// One experiment configuration.
 struct MetaBlockingConfig {
@@ -127,14 +159,14 @@ struct EffectivenessMetrics {
 
 /// Recall/precision/F1 of a retained subset against |D| ground-truth
 /// matches (recall is measured against the full ground truth, so blocking
-/// misses count against it, exactly as in the paper).
+/// misses count against it, exactly as in the paper). Both index lists are
+/// ascending; true positives are counted by merging them.
 EffectivenessMetrics EvaluateRetained(
     const std::vector<uint32_t>& retained_indices,
-    const std::vector<uint8_t>& is_positive, size_t num_ground_truth);
+    const std::vector<uint64_t>& positive_indices, size_t num_ground_truth);
 
 /// Same measures from pre-counted tallies — for callers (the streaming
-/// executor) that evaluate retained pairs on the fly instead of holding an
-/// is_positive vector over the whole candidate set.
+/// executor, the serving backend) that evaluate retained pairs on the fly.
 EffectivenessMetrics MetricsFromCounts(size_t true_positives, size_t retained,
                                        size_t num_ground_truth);
 
@@ -160,29 +192,13 @@ struct MetaBlockingResult {
   std::vector<uint32_t> retained_indices;
 };
 
-/// The prepare/execute split: everything the execute phase actually READS
-/// of a preparation, as a non-owning view. Callers that share one
-/// preparation across many configurations (Engine::Prepare handles, sweep
-/// harnesses) execute through this without owning a PreparedDataset —
-/// the blocks/index can live in a cached, immutable handle while the pairs
-/// and labels come from its lazily materialised batch arrays.
-struct PreparedRef {
-  const std::string* name = nullptr;
-  const EntityIndex* index = nullptr;
-  const BlockCollectionStats* stats = nullptr;
-  const std::vector<CandidatePair>* pairs = nullptr;
-  const std::vector<uint8_t>* is_positive = nullptr;
-  size_t num_ground_truth = 0;
-};
-
-/// The view of an owning preparation.
-PreparedRef RefOf(const PreparedDataset& dataset);
-
 /// Runs one configuration end to end (features computed internally and
-/// included in the timing, as the paper's RT does).
+/// included in the timing, as the paper's RT does). `pairs` is the
+/// dataset's materialised candidate set, GenerateCandidatePairs(
+/// *dataset.index); throws std::invalid_argument when its size is not
+/// dataset.num_candidates().
 MetaBlockingResult RunMetaBlocking(const PreparedDataset& dataset,
-                                   const MetaBlockingConfig& config);
-MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
+                                   const std::vector<CandidatePair>& pairs,
                                    const MetaBlockingConfig& config);
 
 /// Variant that reuses a precomputed feature matrix whose columns follow
@@ -190,11 +206,9 @@ MetaBlockingResult RunMetaBlocking(const PreparedRef& prepared,
 /// as the feature-generation time (pass the one-off measured cost, or 0 to
 /// exclude it). Used by the seed-averaging experiment harness.
 MetaBlockingResult RunMetaBlockingWithFeatures(
-    const PreparedDataset& dataset, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint = 0.0);
-MetaBlockingResult RunMetaBlockingWithFeatures(
-    const PreparedRef& prepared, const MetaBlockingConfig& config,
-    const Matrix& features, double feature_seconds_hint = 0.0);
+    const PreparedDataset& dataset, const std::vector<CandidatePair>& pairs,
+    const MetaBlockingConfig& config, const Matrix& features,
+    double feature_seconds_hint = 0.0);
 
 }  // namespace gsmb
 

@@ -1,11 +1,27 @@
 #include "core/pruning.h"
 
-#include <algorithm>
-
-#include "core/cardinality_pruning.h"
-#include "core/weight_pruning.h"
+#include "core/pruning_aggregates.h"
 
 namespace gsmb {
+
+namespace {
+
+class AggregatorPruning : public PruningAlgorithm {
+ public:
+  explicit AggregatorPruning(PruningKind kind) : kind_(kind) {}
+
+  std::vector<uint32_t> Prune(const std::vector<CandidatePair>& pairs,
+                              const std::vector<double>& probabilities,
+                              const PruningContext& context) const override {
+    return PruneWithAggregator(kind_, pairs, probabilities, context);
+  }
+  PruningKind kind() const override { return kind_; }
+
+ private:
+  PruningKind kind_;
+};
+
+}  // namespace
 
 const char* PruningKindName(PruningKind kind) {
   switch (kind) {
@@ -56,25 +72,7 @@ PruningContext PruningContext::FromIndex(const EntityIndex& index,
 }
 
 std::unique_ptr<PruningAlgorithm> MakePruningAlgorithm(PruningKind kind) {
-  switch (kind) {
-    case PruningKind::kBCl:
-      return std::make_unique<BClPruning>();
-    case PruningKind::kWep:
-      return std::make_unique<WepPruning>();
-    case PruningKind::kWnp:
-      return std::make_unique<WnpPruning>();
-    case PruningKind::kRwnp:
-      return std::make_unique<RwnpPruning>();
-    case PruningKind::kBlast:
-      return std::make_unique<BlastPruning>();
-    case PruningKind::kCep:
-      return std::make_unique<CepPruning>();
-    case PruningKind::kCnp:
-      return std::make_unique<CnpPruning>();
-    case PruningKind::kRcnp:
-      return std::make_unique<RcnpPruning>();
-  }
-  return nullptr;
+  return std::make_unique<AggregatorPruning>(kind);
 }
 
 std::vector<PruningKind> AllPruningKinds() {

@@ -39,14 +39,33 @@
 namespace gsmb {
 
 enum class PruningKind {
-  kBCl,    // baseline binary classifier (approximates WEP) [21]
-  kWep,    // Weighted Edge Pruning
-  kWnp,    // Weighted Node Pruning
-  kRwnp,   // Reciprocal Weighted Node Pruning
-  kBlast,  // BLAST (max-based node pruning)
-  kCep,    // Cardinality Edge Pruning
-  kCnp,    // Cardinality Node Pruning
-  kRcnp,   // Reciprocal Cardinality Node Pruning
+  /// Baseline of [Papadakis et al., PVLDB 2014]: the plain binary
+  /// classifier. Retains every valid pair (probability >= validity
+  /// threshold); no further pruning.
+  kBCl,
+  /// Algorithm 1 — Supervised Weighted Edge Pruning: keeps pairs whose
+  /// probability reaches the global average over valid pairs.
+  kWep,
+  /// Algorithm 2 — Supervised Weighted Node Pruning: local averages; a pair
+  /// survives when it reaches the average of either endpoint.
+  kWnp,
+  /// Reciprocal WNP: a pair must reach the averages of *both* endpoints —
+  /// consistently deeper pruning than WNP.
+  kRwnp,
+  /// Algorithm 3 — Supervised BLAST: keeps a valid pair when its
+  /// probability reaches r * (max_i + max_j) of the endpoint maxima;
+  /// r = 0.35 in the paper's experiments.
+  kBlast,
+  /// Algorithm 4 — Supervised Cardinality Edge Pruning: global top-K valid
+  /// pairs by probability, K = Σ|b| / 2 over the input block collection.
+  kCep,
+  /// Algorithm 5 — Supervised Cardinality Node Pruning: every node keeps a
+  /// priority queue of its top-k valid pairs, k = max(1, Σ|b| / #entities);
+  /// a pair survives when it appears in EITHER endpoint's queue.
+  kCnp,
+  /// Reciprocal CNP: a pair survives only when it appears in BOTH
+  /// endpoints' queues — the paper's best cardinality-based algorithm.
+  kRcnp,
 };
 
 const char* PruningKindName(PruningKind kind);
@@ -97,6 +116,9 @@ class PruningAlgorithm {
   std::string Name() const { return PruningKindName(kind()); }
 };
 
+/// The algorithm of `kind`: every kind runs the chunk-decomposed
+/// aggregator of core/pruning_aggregates.h that the streaming executor
+/// drives one shard at a time, which keeps the two paths bit-identical.
 std::unique_ptr<PruningAlgorithm> MakePruningAlgorithm(PruningKind kind);
 
 /// All kinds, in the order the paper discusses them.

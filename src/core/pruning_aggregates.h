@@ -1,6 +1,6 @@
 // Chunk-decomposed pruning: the shared accumulation machinery behind both
-// the in-memory PruningAlgorithms (core/weight_pruning.cc,
-// core/cardinality_pruning.cc) and the bounded-memory StreamingExecutor
+// the in-memory PruningAlgorithm that MakePruningAlgorithm returns
+// (core/pruning.cc) and the bounded-memory StreamingExecutor
 // (stream/streaming_executor.cc).
 //
 // Every pruning algorithm decomposes into three phases over the global

@@ -9,7 +9,7 @@
 //   inputs      dirty flag, E1 profiles, E2 profiles (external id +
 //               attribute name/value pairs, in internal-id order),
 //               ground truth (dirty flag + pairs in insertion order)
-//   blocks      clean_clean flag, stream name, |E1|, |E2|, post-purge/
+//   blocks      clean_clean flag, dataset name, |E1|, |E2|, post-purge/
 //               filter blocks (key + left ids + right ids, in order)
 //
 // Every length field is validated against the bytes remaining in the file
@@ -29,8 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "gsmb/digest.h"
-#include "stream/streaming_dataset.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -205,9 +205,9 @@ Status SavePreparedSnapshot(const PreparedInputs& prepared,
     PutU32(out, pair.right);
   }
 
-  const BlockCollection& blocks = prepared.stream.blocks;
+  const BlockCollection& blocks = prepared.dataset.blocks;
   PutU8(out, blocks.clean_clean() ? 1 : 0);
-  PutString(out, prepared.stream.name);
+  PutString(out, prepared.dataset.name);
   PutU64(out, blocks.num_left_entities());
   PutU64(out, blocks.num_right_entities());
   PutU64(out, blocks.size());
@@ -292,7 +292,7 @@ Result<PreparedHandle> LoadPreparedSnapshot(const std::string& path,
     inputs.ground_truth = ground_truth;
 
     const bool clean_clean = reader.U8() != 0;
-    const std::string stream_name = reader.String();
+    const std::string dataset_name = reader.String();
     const uint64_t num_left = reader.U64();
     const uint64_t num_right = reader.U64();
     if (num_left != inputs.e1.size() ||
@@ -337,10 +337,10 @@ Result<PreparedHandle> LoadPreparedSnapshot(const std::string& path,
 
     // Rebuild the derived state — EntityIndex, stats, the counting sweep —
     // through the exact code path a cold Prepare takes. Deterministic at
-    // any thread count, so the rebuilt stream is bit-identical to the one
+    // any thread count, so the rebuilt dataset is bit-identical to the one
     // the snapshot was saved from.
-    prepared->stream = PrepareStreamingFromBlocks(
-        stream_name, std::move(blocks), std::move(ground_truth), num_threads);
+    prepared->dataset = PrepareFromBlocks(
+        dataset_name, std::move(blocks), std::move(ground_truth), num_threads);
   } catch (const std::exception& e) {
     return Status::InvalidArgument("prepared snapshot '" + path +
                                    "': " + e.what());
@@ -356,7 +356,7 @@ Result<PreparedHandle> LoadPreparedSnapshot(const std::string& path,
         obs::DigestHex(info.dataset_fingerprint) + ", rebuilt " +
         obs::DigestHex(fingerprint) + ") — the file is corrupt");
   }
-  const uint64_t digest = obs::PreparedStreamDigest(prepared->stream);
+  const uint64_t digest = obs::PreparedStreamDigest(prepared->dataset);
   if (digest != info.prepared_digest) {
     return Status::Internal(
         "prepared snapshot '" + path +

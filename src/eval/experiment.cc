@@ -9,8 +9,10 @@ ExperimentResult RunRepeatedExperiment(const PreparedDataset& dataset,
                                        size_t num_seeds) {
   ExperimentResult out;
 
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(*dataset.index, config.execution.num_threads);
   Stopwatch watch;
-  FeatureExtractor extractor(*dataset.index, dataset.pairs);
+  FeatureExtractor extractor(*dataset.index, pairs);
   Matrix features = extractor.Compute(config.features);
   out.feature_seconds = watch.ElapsedSeconds();
 
@@ -19,7 +21,7 @@ ExperimentResult RunRepeatedExperiment(const PreparedDataset& dataset,
   for (size_t seed = 0; seed < num_seeds; ++seed) {
     config.seed = seed;
     MetaBlockingResult result = RunMetaBlockingWithFeatures(
-        dataset, config, features, out.feature_seconds);
+        dataset, pairs, config, features, out.feature_seconds);
     acc.Add(result);
     out.runs.push_back(std::move(result));
   }

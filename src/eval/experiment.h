@@ -1,8 +1,8 @@
 // Experiment orchestration: the paper's repetition protocol.
 //
-// For one (dataset, configuration) cell, features are extracted once (their
-// cost is timed and charged to every repetition, matching the paper's RT
-// definition), then the pipeline is repeated with seeds 0..N-1, each seed
+// For one (dataset, configuration) cell, the candidate pairs are
+// materialised and features extracted once (the feature cost is timed and
+// charged to every repetition, matching the paper's RT definition), then the pipeline is repeated with seeds 0..N-1, each seed
 // drawing a fresh balanced training sample. Results are averaged.
 
 #ifndef GSMB_EVAL_EXPERIMENT_H_

@@ -32,6 +32,16 @@ struct TrainingSet {
 TrainingSet SampleBalanced(const std::vector<uint8_t>& is_positive,
                            size_t per_class, Rng* rng);
 
+/// SampleBalanced without a label byte per candidate: the positive pool is
+/// the explicit ascending index list `positives`, the negative pool its
+/// complement in [0, num_candidates). The Rng draw sequence — positives
+/// first, then negatives, partial Fisher-Yates each — is SampleBalanced's,
+/// so the selected rows and their order are identical. Every pipeline
+/// (batch, streaming, serving bootstrap) samples through this.
+TrainingSet SampleBalancedFromPlan(const std::vector<uint64_t>& positives,
+                                   uint64_t num_candidates, size_t per_class,
+                                   Rng* rng);
+
 /// The training-set size rule of the original Supervised Meta-blocking
 /// paper: 5% of the positive (minority) class in the ground truth, per
 /// class, with at least one instance.

@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "blocking/block_collection.h"
+#include "core/pipeline.h"
 #include "er/ground_truth.h"
 #include "gsmb/prepared.h"
-#include "stream/streaming_dataset.h"
 
 namespace gsmb {
 namespace obs {
@@ -102,9 +102,9 @@ uint64_t DatasetFingerprint(const JobInputs& inputs) {
   return Mix64(h);
 }
 
-uint64_t PreparedStreamDigest(const StreamingDataset& stream) {
+uint64_t PreparedStreamDigest(const PreparedDataset& dataset) {
   uint64_t h = kFnvOffset;
-  const BlockCollection& blocks = stream.blocks;
+  const BlockCollection& blocks = dataset.blocks;
   h = FnvByte(h, blocks.clean_clean() ? 1 : 0);
   h = FnvU64(h, blocks.num_left_entities());
   h = FnvU64(h, blocks.num_right_entities());
@@ -117,9 +117,9 @@ uint64_t PreparedStreamDigest(const StreamingDataset& stream) {
     for (EntityId id : block.right) h = FnvU64(h, id);
     h = FnvByte(h, kRecordSep);
   }
-  h = FnvU64(h, stream.num_candidates());
-  h = FnvDouble(h, stream.stats.total_comparisons);
-  h = FnvU64(h, stream.stats.total_occurrences);
+  h = FnvU64(h, dataset.num_candidates());
+  h = FnvDouble(h, dataset.stats.total_comparisons);
+  h = FnvU64(h, dataset.stats.total_occurrences);
   return Mix64(h);
 }
 

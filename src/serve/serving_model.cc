@@ -66,24 +66,24 @@ ServingModel TrainServingModel(const EntityCollection& labelled,
   }
   BlockingOptions blocking = options.blocking;
   blocking.execution = options.execution;
-  PreparedDataset prep =
+  const PreparedDataset prep =
       PrepareDirty("serving-bootstrap", labelled, ground_truth, blocking);
-  MetaBlockingResult result =
-      RunMetaBlocking(prep, TrainingConfig(features, options));
-  return ModelFromCoefficients(result, features, training_size);
+  return TrainServingModelFromPrepared(
+      prep, GenerateCandidatePairs(*prep.index, options.execution.num_threads),
+      features, options, training_size);
 }
 
-ServingModel TrainServingModelFromPrepared(const PreparedRef& prepared,
-                                           const FeatureSet& features,
-                                           const ServingModelTraining& options,
-                                           size_t* training_size) {
-  if (prepared.num_ground_truth == 0) {
+ServingModel TrainServingModelFromPrepared(
+    const PreparedDataset& prepared, const std::vector<CandidatePair>& pairs,
+    const FeatureSet& features, const ServingModelTraining& options,
+    size_t* training_size) {
+  if (prepared.ground_truth.empty()) {
     throw std::invalid_argument(
         "TrainServingModelFromPrepared: ground truth has no labelled "
         "matches");
   }
   MetaBlockingResult result =
-      RunMetaBlocking(prepared, TrainingConfig(features, options));
+      RunMetaBlocking(prepared, pairs, TrainingConfig(features, options));
   return ModelFromCoefficients(result, features, training_size);
 }
 

@@ -52,10 +52,8 @@ struct ServingModelTraining {
   ClassifierKind classifier = ClassifierKind::kLogisticRegression;
   size_t train_per_class = 250;
   uint64_t seed = 0;
-  /// Preprocessing applied to the bootstrap collection before training
-  /// (paper defaults). The Engine's serving backend overrides this with the
-  /// JobSpec's blocking section so the trained model is bit-identical to
-  /// the batch backend's.
+  /// Preprocessing TrainServingModel applies to the bootstrap collection
+  /// (paper defaults).
   BlockingOptions blocking;
   /// Shared execution knobs; also applied to `blocking`.
   ExecutionOptions execution;
@@ -63,9 +61,10 @@ struct ServingModelTraining {
 
 /// Trains a classifier with the batch pipeline (Token Blocking -> purging ->
 /// filtering -> features -> balanced sample -> fit) on a labelled Dirty-ER
-/// collection and returns its raw-space linear form. Throws when the chosen
-/// classifier has no linear representation (Gaussian Naive Bayes) or when
-/// the data yields too few labelled candidate pairs to train.
+/// collection and returns its raw-space linear form: PrepareDirty, then
+/// TrainServingModelFromPrepared over its candidate pairs. Throws when the
+/// chosen classifier has no linear representation (Gaussian Naive Bayes) or
+/// when the data yields too few labelled candidate pairs to train.
 /// `training_size` (optional) receives the balanced sample's actual size.
 ServingModel TrainServingModel(const EntityCollection& labelled,
                                const GroundTruth& ground_truth,
@@ -74,16 +73,14 @@ ServingModel TrainServingModel(const EntityCollection& labelled,
                                size_t* training_size = nullptr);
 
 /// Trains from an existing preparation instead of re-blocking inside the
-/// trainer: the caller supplies the blocked, labelled candidate view (an
-/// Engine prepared handle's batch arrays, or RefOf() over an owning
-/// PreparedDataset) and only the per-configuration stages run. With the
-/// same blocking options the fitted model is bit-identical to
-/// TrainServingModel's — same pipeline, same balanced-sample replay —
-/// minus the redundant blocking pass. `options.blocking` is ignored (the
-/// preparation already applied it).
+/// trainer: `pairs` is the dataset's materialised candidate set (an Engine
+/// prepared handle's Pairs(), or GenerateCandidatePairs(*prepared.index))
+/// and only the per-configuration stages run. `options.blocking` is ignored
+/// (the preparation already applied it).
 ServingModel TrainServingModelFromPrepared(
-    const PreparedRef& prepared, const FeatureSet& features,
-    const ServingModelTraining& options = {}, size_t* training_size = nullptr);
+    const PreparedDataset& prepared, const std::vector<CandidatePair>& pairs,
+    const FeatureSet& features, const ServingModelTraining& options = {},
+    size_t* training_size = nullptr);
 
 }  // namespace gsmb
 

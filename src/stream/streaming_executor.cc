@@ -21,53 +21,6 @@ constexpr size_t kPivotChunkGrain = 1024;
 
 constexpr size_t kNoPivot = std::numeric_limits<size_t>::max();
 
-/// Replays SampleBalanced (ml/sampler.cc) without an is_positive byte per
-/// candidate: the positive pool is the explicit ascending index list, the
-/// negative pool is its complement in [0, num_candidates). The Rng draw
-/// sequence — positives first, then negatives, partial Fisher-Yates each —
-/// is identical, so the selected rows and their order are identical.
-TrainingSet SampleBalancedFromPlan(const std::vector<uint64_t>& positives,
-                                   uint64_t num_candidates, size_t per_class,
-                                   Rng* rng) {
-  const size_t num_pos = positives.size();
-  const auto num_neg = static_cast<size_t>(num_candidates) - num_pos;
-
-  std::vector<size_t> pos_ranks = rng->SampleWithoutReplacementSparse(
-      num_pos, std::min(per_class, num_pos));
-  std::vector<uint64_t> pos_chosen;
-  pos_chosen.reserve(pos_ranks.size());
-  for (size_t rank : pos_ranks) pos_chosen.push_back(positives[rank]);
-  std::sort(pos_chosen.begin(), pos_chosen.end());
-
-  std::vector<size_t> neg_ranks = rng->SampleWithoutReplacementSparse(
-      num_neg, std::min(per_class, num_neg));
-  // The k-th negative is the k-th candidate index that is not positive:
-  // idx = rank + (#positives <= idx), resolved by a merged sweep over the
-  // ascending ranks. Ascending ranks map to ascending indices, so the
-  // mapped list is already the sorted order the batch sampler produces.
-  std::sort(neg_ranks.begin(), neg_ranks.end());
-  std::vector<uint64_t> neg_chosen;
-  neg_chosen.reserve(neg_ranks.size());
-  size_t skipped = 0;
-  for (size_t rank : neg_ranks) {
-    while (skipped < num_pos && positives[skipped] <= rank + skipped) {
-      ++skipped;
-    }
-    neg_chosen.push_back(rank + skipped);
-  }
-
-  TrainingSet ts;
-  for (uint64_t i : pos_chosen) {
-    ts.row_indices.push_back(static_cast<size_t>(i));
-    ts.labels.push_back(1);
-  }
-  for (uint64_t i : neg_chosen) {
-    ts.row_indices.push_back(static_cast<size_t>(i));
-    ts.labels.push_back(0);
-  }
-  return ts;
-}
-
 }  // namespace
 
 struct StreamingExecutor::ShardArena {
@@ -76,7 +29,7 @@ struct StreamingExecutor::ShardArena {
   std::vector<double> probabilities;
 };
 
-StreamingExecutor::StreamingExecutor(const StreamingDataset& dataset,
+StreamingExecutor::StreamingExecutor(const PreparedDataset& dataset,
                                      StreamingOptions options)
     : dataset_(dataset), options_(options) {
   if (options_.num_shards == 0 && options_.memory_budget_mb == 0) {

@@ -4,8 +4,10 @@
 // The batch path (RunMetaBlocking) holds the candidate set, the feature
 // matrix, and the probability vector in RAM at once — O(|C|) each, which
 // caps it well below the paper's X10 scalability series. The executor
-// instead slices the GLOBAL candidate order into contiguous, chunk-aligned
-// shards and drains them one at a time through a reusable arena:
+// runs off the same counting PreparedDataset (core/pipeline.h) but never
+// materialises its candidates: it slices the GLOBAL candidate order into
+// contiguous, chunk-aligned shards — located through the dataset's
+// pivot_offsets — and drains them one at a time through a reusable arena:
 //
 //   regenerate shard pairs -> features (core/features.cc, global index)
 //   -> classify -> feed the shard's chunks to the pruning aggregator
@@ -28,9 +30,10 @@
 //     global EntityIndex, so per-shard extraction reproduces the batch
 //     matrix rows bit for bit (core/features.cc sweeps the pivot's blocks
 //     identically regardless of which rows are requested);
-//   * the trainer replays the batch path's balanced sample exactly — same
-//     Rng draw sequence via SampleWithoutReplacementSparse, same training
-//     rows, same row order — so the fitted model is identical.
+//   * the trainer draws the batch path's balanced sample with the same
+//     SampleBalancedFromPlan call (ml/sampler.h) over the same
+//     positive_indices — same training rows, same row order — so the
+//     fitted model is identical.
 //
 // Deliberate departure from the serving layer (serve/session.h): serving
 // hash-shards TOKENS so a shard is refreshable in isolation; here shards
@@ -47,7 +50,6 @@
 
 #include "blocking/candidate_pairs.h"
 #include "core/pipeline.h"
-#include "stream/streaming_dataset.h"
 
 namespace gsmb {
 
@@ -111,11 +113,11 @@ class StreamingExecutor {
 
   /// Throws std::invalid_argument when `options` is unusable (no shards
   /// and no memory budget).
-  StreamingExecutor(const StreamingDataset& dataset, StreamingOptions options);
+  StreamingExecutor(const PreparedDataset& dataset, StreamingOptions options);
 
   /// Runs one configuration end to end. The retained set — and therefore
   /// metrics and coefficients — is bit-identical to
-  /// RunMetaBlocking(PreparedDataset, config) on the same input blocks,
+  /// RunMetaBlocking(dataset, pairs, config) on the same dataset,
   /// for any shard/thread combination.
   StreamingResult Run(const MetaBlockingConfig& config) const {
     return Run(config, RetainedSink());
@@ -145,7 +147,7 @@ class StreamingExecutor {
                  const std::vector<double>* lcp, ShardArena* arena,
                  StreamingResult* timings) const;
 
-  const StreamingDataset& dataset_;
+  const PreparedDataset& dataset_;
   StreamingOptions options_;
 };
 

@@ -12,6 +12,7 @@
 
 #include "gsmb/job_spec.h"
 #include "gsmb/prepared.h"
+#include "util/stopwatch.h"
 
 namespace gsmb {
 namespace {
@@ -281,12 +282,39 @@ TEST(PreparedInputsLazyBatch, StreamingNeverMaterialises) {
   Result<PreparedHandle> prepared = engine.Prepare(spec);
   ASSERT_TRUE(prepared.ok());
   ASSERT_TRUE(engine.Execute(spec, **prepared).ok());
-  EXPECT_FALSE((*prepared)->batch_materialized())
+  EXPECT_FALSE((*prepared)->pairs_materialized())
       << "a streaming-only handle must stay free of O(|C|) arrays";
 
   spec.execution.mode = ExecutionMode::kBatch;
   ASSERT_TRUE(engine.Execute(spec, **prepared).ok());
-  EXPECT_TRUE((*prepared)->batch_materialized());
+  EXPECT_TRUE((*prepared)->pairs_materialized());
+}
+
+// The handle's one-off pair materialisation is charged to the run that
+// paid it, never to later runs against the same handle: their phases add
+// up to at most their own wall time.
+TEST(PreparedInputsLazyBatch, MaterialisationChargedOnce) {
+  Engine engine;
+  JobSpec spec = SmallSpec(0.1);
+  spec.execution.mode = ExecutionMode::kBatch;
+  Result<PreparedHandle> prepared = engine.Prepare(spec);
+  ASSERT_TRUE(prepared.ok());
+
+  Result<JobResult> first = engine.Execute(spec, **prepared);
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(first->generate_seconds, 0.0);
+
+  Stopwatch watch;
+  Result<JobResult> second = engine.Execute(spec, **prepared);
+  const double wall_seconds = watch.ElapsedSeconds();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->generate_seconds, 0.0);
+  const double phase_sum = second->generate_seconds +
+                           second->feature_seconds + second->train_seconds +
+                           second->classify_seconds + second->prune_seconds;
+  EXPECT_DOUBLE_EQ(second->total_seconds, phase_sum);
+  EXPECT_LE(phase_sum, wall_seconds);
+  EXPECT_EQ(second->retained, first->retained);
 }
 
 }  // namespace

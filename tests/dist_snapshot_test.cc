@@ -82,7 +82,8 @@ TEST(PreparedSnapshot, RoundTripsDigestIdenticalAtAnyThreadCount) {
     EXPECT_EQ((*loaded)->inputs.e1.size(), (*prepared)->inputs.e1.size());
     EXPECT_EQ((*loaded)->inputs.ground_truth.size(),
               (*prepared)->inputs.ground_truth.size());
-    EXPECT_EQ((*loaded)->stream.blocks.size(), (*prepared)->stream.blocks.size());
+    EXPECT_EQ((*loaded)->dataset.blocks.size(),
+              (*prepared)->dataset.blocks.size());
   }
 }
 

@@ -143,13 +143,14 @@ TEST_F(PaperFeaturesTest, SubsetColumnsMatchFullMatrix) {
 TEST(FeaturesCleanClean, MatchesBruteForce) {
   const PreparedDataset& prep = gsmb::testing::MediumDataset();
   const EntityIndex& index = *prep.index;
-  FeatureExtractor extractor(index, prep.pairs);
+  const std::vector<CandidatePair>& pairs = gsmb::testing::MediumPairs();
+  FeatureExtractor extractor(index, pairs);
   Matrix all = extractor.ComputeAll();
 
   const size_t offset = index.num_left();
-  const size_t sample_step = std::max<size_t>(1, prep.pairs.size() / 200);
-  for (size_t r = 0; r < prep.pairs.size(); r += sample_step) {
-    const CandidatePair& p = prep.pairs[r];
+  const size_t sample_step = std::max<size_t>(1, pairs.size() / 200);
+  for (size_t r = 0; r < pairs.size(); r += sample_step) {
+    const CandidatePair& p = pairs[r];
     const size_t gi = p.left;
     const size_t gj = offset + p.right;
     const double common = static_cast<double>(index.CommonBlocks(gi, gj));

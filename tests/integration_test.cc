@@ -24,7 +24,7 @@ TEST(Integration, CleanCleanSpecsEndToEnd) {
     GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
     PreparedDataset prep = PrepareCleanClean(
         spec.name, data.e1, data.e2, std::move(data.ground_truth));
-    ASSERT_GT(prep.pairs.size(), 0u) << name;
+    ASSERT_GT(prep.num_candidates(), 0u) << name;
 
     MetaBlockingConfig config;
     config.features = FeatureSet::BlastOptimal();
@@ -43,7 +43,8 @@ TEST(Integration, DirtyEndToEnd) {
   config.features = FeatureSet::RcnpOptimal();
   config.pruning = PruningKind::kRcnp;
   config.train_per_class = 25;
-  MetaBlockingResult result = RunMetaBlocking(prep, config);
+  MetaBlockingResult result =
+      RunMetaBlocking(prep, testing::SmallDirtyPairs(), config);
   EXPECT_GT(result.metrics.recall, 0.3);
   EXPECT_GT(result.metrics.precision, prep.blocking_quality.precision);
 }
@@ -64,7 +65,7 @@ TEST(Integration, CsvRoundTripFeedsPipeline) {
   PreparedDataset from_disk = PrepareCleanClean("disk", e1, e2, gt);
   PreparedDataset from_memory = PrepareCleanClean(
       "mem", data.e1, data.e2, std::move(data.ground_truth));
-  EXPECT_EQ(from_disk.pairs.size(), from_memory.pairs.size());
+  EXPECT_EQ(from_disk.num_candidates(), from_memory.num_candidates());
   EXPECT_DOUBLE_EQ(from_disk.blocking_quality.recall,
                    from_memory.blocking_quality.recall);
 }
@@ -74,11 +75,11 @@ TEST(Integration, SupervisedBeatsUnsupervisedOnPrecisionAtSimilarRecall) {
 
   // Unsupervised WNP with the classic JS weights.
   PruningContext ctx = PruningContext::FromIndex(*prep.index, prep.stats);
-  auto unsup = UnsupervisedMetaBlocking(*prep.index, prep.pairs,
+  auto unsup = UnsupervisedMetaBlocking(*prep.index, testing::MediumPairs(),
                                         EdgeWeightScheme::kJs,
                                         PruningKind::kWnp, ctx);
   EffectivenessMetrics unsup_metrics =
-      EvaluateRetained(unsup, prep.is_positive, prep.ground_truth.size());
+      EvaluateRetained(unsup, prep.positive_indices, prep.ground_truth.size());
 
   MetaBlockingConfig config;
   config.pruning = PruningKind::kWnp;
@@ -109,10 +110,11 @@ TEST(Integration, QGramBlocksFeedPipelineToo) {
       BlockFiltering().Apply(BlockPurging().Apply(raw));
   PreparedDataset prep = PrepareFromBlocks("qgrams", std::move(processed),
                                            std::move(data.ground_truth));
-  EXPECT_GT(prep.pairs.size(), 0u);
+  EXPECT_GT(prep.num_candidates(), 0u);
   MetaBlockingConfig config;
   config.train_per_class = 15;
-  MetaBlockingResult result = RunMetaBlocking(prep, config);
+  MetaBlockingResult result =
+      RunMetaBlocking(prep, GenerateCandidatePairs(*prep.index), config);
   EXPECT_GT(result.metrics.retained, 0u);
 }
 

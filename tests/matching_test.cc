@@ -121,13 +121,13 @@ TEST(Matcher, EndToEndRaisesF1OverMetaBlocking) {
   config.pruning = PruningKind::kBlast;
   config.train_per_class = 25;
   config.keep_retained = true;
-  MetaBlockingResult r = RunMetaBlocking(prep, config);
+  MetaBlockingResult r = RunMetaBlocking(prep, testing::MediumPairs(), config);
 
   // Dataset names are opaque here; rebuild the collections from the spec.
   CleanCleanSpec spec = CleanCleanSpecByName("DblpAcm", /*scale=*/0.25);
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
   auto decisions = ThresholdMatcher(0.35).Match(
-      data.e1, data.e2, prep.pairs, r.retained_indices);
+      data.e1, data.e2, testing::MediumPairs(), r.retained_indices);
   MatchingQuality q = EvaluateMatching(decisions, prep.ground_truth);
   // On this clean dataset meta-blocking is already near-perfect; matching
   // must at least preserve that quality while never lowering precision.

@@ -101,7 +101,8 @@ TEST(TrainingSizeMonotonicity, MoreLabelsNeverShrinkTrainingSet) {
   for (size_t per_class : {5, 10, 25, 50}) {
     MetaBlockingConfig config;
     config.train_per_class = per_class;
-    MetaBlockingResult r = RunMetaBlocking(prep, config);
+    MetaBlockingResult r =
+        RunMetaBlocking(prep, testing::MediumPairs(), config);
     EXPECT_GE(r.training_size, last);
     last = r.training_size;
   }

@@ -114,7 +114,8 @@ TEST(NaiveBayes, WorksInsidePipeline) {
   config.pruning = PruningKind::kBlast;
   config.features = FeatureSet::BlastOptimal();
   config.train_per_class = 25;
-  MetaBlockingResult result = RunMetaBlocking(prep, config);
+  MetaBlockingResult result =
+      RunMetaBlocking(prep, testing::MediumPairs(), config);
   EXPECT_GT(result.metrics.recall, 0.5);
   EXPECT_GT(result.metrics.precision, prep.blocking_quality.precision);
 }

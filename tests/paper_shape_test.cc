@@ -98,14 +98,14 @@ TEST_F(PaperShapeTest, LcpFeatureDominatesFeatureExtractionCost) {
   // minimum-of-5 extraction time of the LCP-bearing 2014 set against the
   // LCP-free BLAST set; min-of-N makes the measurement robust to
   // scheduling noise.
-  FeatureExtractor extractor(*prep_.index, prep_.pairs);
+  FeatureExtractor extractor(*prep_.index, testing::MediumPairs());
   auto min_time = [&](const FeatureSet& set) {
     double best = 1e9;
     for (int rep = 0; rep < 5; ++rep) {
       Stopwatch watch;
       Matrix m = extractor.Compute(set);
       best = std::min(best, watch.ElapsedSeconds());
-      EXPECT_EQ(m.rows(), prep_.pairs.size());
+      EXPECT_EQ(m.rows(), prep_.num_candidates());
     }
     return best;
   };

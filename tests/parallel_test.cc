@@ -287,10 +287,11 @@ TEST(ParallelPipeline, RunMetaBlockingBitIdenticalToSerial) {
   config.keep_probabilities = true;
   config.keep_retained = true;
 
+  const std::vector<CandidatePair>& pairs = testing::MediumPairs();
   config.execution.num_threads = 1;
-  const MetaBlockingResult serial = RunMetaBlocking(prep, config);
+  const MetaBlockingResult serial = RunMetaBlocking(prep, pairs, config);
   config.execution.num_threads = 4;
-  const MetaBlockingResult parallel = RunMetaBlocking(prep, config);
+  const MetaBlockingResult parallel = RunMetaBlocking(prep, pairs, config);
 
   EXPECT_EQ(parallel.probabilities, serial.probabilities);
   EXPECT_EQ(parallel.retained_indices, serial.retained_indices);
@@ -301,7 +302,7 @@ TEST(ParallelPipeline, RunMetaBlockingBitIdenticalToSerial) {
 
 TEST(ParallelFeatures, BitIdenticalToSerial) {
   const PreparedDataset& prep = testing::MediumDataset();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, testing::MediumPairs());
   Matrix serial = extractor.ComputeAll(1);
   for (size_t threads : {2, 4, 8}) {
     Matrix parallel = extractor.ComputeAll(threads);
@@ -313,14 +314,14 @@ TEST(ParallelFeatures, BitIdenticalToSerial) {
 
 TEST(ParallelFeatures, LcpBitIdenticalToSerial) {
   const PreparedDataset& prep = testing::SmallDirtyDataset();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, testing::SmallDirtyPairs());
   EXPECT_EQ(extractor.ComputeLcpPerEntity(1),
             extractor.ComputeLcpPerEntity(4));
 }
 
 TEST(ParallelFeatures, SubsetSelectionAlsoIdentical) {
   const PreparedDataset& prep = testing::MediumDataset();
-  FeatureExtractor extractor(*prep.index, prep.pairs);
+  FeatureExtractor extractor(*prep.index, testing::MediumPairs());
   FeatureSet set = FeatureSet::RcnpOptimal();
   EXPECT_EQ(extractor.Compute(set, 1).data(),
             extractor.Compute(set, 4).data());

@@ -75,16 +75,18 @@ TEST(ProgressiveEndToEnd, ClassifierScheduleBeatsRandomOrder) {
   config.features = FeatureSet::BlastOptimal();
   config.train_per_class = 25;
   config.keep_probabilities = true;
-  MetaBlockingResult result = RunMetaBlocking(prep, config);
+  MetaBlockingResult result =
+      RunMetaBlocking(prep, testing::MediumPairs(), config);
 
+  const std::vector<uint8_t> is_positive = PositiveMask(prep);
   auto schedule = ProgressiveSchedule(result.probabilities);
-  double auc = ProgressiveAuc(schedule, prep.is_positive,
+  double auc = ProgressiveAuc(schedule, is_positive,
                               prep.ground_truth.size());
 
   // Identity order approximates a random schedule.
-  std::vector<uint32_t> identity(prep.pairs.size());
+  std::vector<uint32_t> identity(prep.num_candidates());
   for (uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
-  double auc_identity = ProgressiveAuc(identity, prep.is_positive,
+  double auc_identity = ProgressiveAuc(identity, is_positive,
                                        prep.ground_truth.size());
   EXPECT_GT(auc, auc_identity + 0.2);
   EXPECT_GT(auc, 0.7);

@@ -6,7 +6,6 @@
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
 #include "core/pipeline.h"
-#include "core/weight_pruning.h"
 #include "test_support.h"
 
 namespace gsmb {
@@ -23,7 +22,8 @@ TEST(Robustness, DatasetWithoutPositiveCandidatesStillRuns) {
                                            std::move(gt));
   MetaBlockingConfig config;
   config.train_per_class = 5;
-  MetaBlockingResult result = RunMetaBlocking(prep, config);
+  MetaBlockingResult result =
+      RunMetaBlocking(prep, GenerateCandidatePairs(*prep.index), config);
   EXPECT_DOUBLE_EQ(result.metrics.recall, 0.0);
 }
 
@@ -31,9 +31,9 @@ TEST(Robustness, EmptyBlockCollectionThrowsAtTraining) {
   BlockCollection empty(/*clean_clean=*/false, 10, 0);
   PreparedDataset prep =
       PrepareFromBlocks("empty", std::move(empty), GroundTruth(true));
-  EXPECT_TRUE(prep.pairs.empty());
+  EXPECT_EQ(prep.num_candidates(), 0u);
   MetaBlockingConfig config;
-  EXPECT_THROW(RunMetaBlocking(prep, config), std::runtime_error);
+  EXPECT_THROW(RunMetaBlocking(prep, {}, config), std::runtime_error);
 }
 
 TEST(Robustness, SingleCandidatePair) {
@@ -50,22 +50,25 @@ TEST(Robustness, SingleCandidatePair) {
   config.train_per_class = 5;
   // One positive, zero negatives: training set has a single class but two
   // identical... actually one row. Too small -> throws.
-  EXPECT_THROW(RunMetaBlocking(prep, config), std::runtime_error);
+  EXPECT_THROW(
+      RunMetaBlocking(prep, GenerateCandidatePairs(*prep.index), config),
+      std::runtime_error);
 }
 
 TEST(Robustness, BlastRatioExtremes) {
   testing::PruningFixture f = testing::RandomPruningGraph(30, 0.4, 3);
-  BlastPruning blast;
+  const auto blast = MakePruningAlgorithm(PruningKind::kBlast);
   PruningContext zero = f.context;
   zero.blast_ratio = 0.0;
   PruningContext one = f.context;
   one.blast_ratio = 1.0;
-  auto all_valid = BClPruning().Prune(f.pairs, f.probs, f.context);
+  auto all_valid = MakePruningAlgorithm(PruningKind::kBCl)->Prune(
+      f.pairs, f.probs, f.context);
   // r = 0: every valid pair clears the threshold.
-  EXPECT_EQ(blast.Prune(f.pairs, f.probs, zero), all_valid);
+  EXPECT_EQ(blast->Prune(f.pairs, f.probs, zero), all_valid);
   // r = 1: only pairs matching the max of both endpoints survive; strictly
   // fewer (or equal in degenerate graphs).
-  EXPECT_LE(blast.Prune(f.pairs, f.probs, one).size(), all_valid.size());
+  EXPECT_LE(blast->Prune(f.pairs, f.probs, one).size(), all_valid.size());
 }
 
 TEST(Robustness, ValidityThresholdAboveAllProbabilities) {

@@ -2,7 +2,9 @@
 // BIT-IDENTICAL to RunMetaBlocking for all 8 pruning kinds, at every
 // tested shard count x thread count, on both Clean-Clean and Dirty
 // fixtures. This is the load-bearing guarantee of stream/ — everything
-// else (memory bounds, sweeps, sinks) is checked afterwards.
+// else (memory bounds, sweeps, sinks) is checked afterwards. Both paths
+// read the same counting PreparedDataset, so its counting sweep is first
+// checked against a brute-force scan of the materialised candidates.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,7 +16,6 @@
 #include "core/pipeline.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
-#include "stream/streaming_dataset.h"
 #include "stream/streaming_executor.h"
 #include "test_support.h"
 
@@ -22,12 +23,8 @@ namespace gsmb {
 namespace {
 
 using testing::MediumDataset;
+using testing::MediumPairs;
 using testing::SmallDirtyDataset;
-
-StreamingDataset StreamingTwin(const PreparedDataset& prep) {
-  return PrepareStreamingFromBlocks(prep.name, prep.blocks,
-                                    prep.ground_truth, /*num_threads=*/2);
-}
 
 MetaBlockingConfig BaseConfig(PruningKind kind) {
   MetaBlockingConfig config;
@@ -55,12 +52,12 @@ void ExpectIdentical(const MetaBlockingResult& batch,
   EXPECT_EQ(batch.model_coefficients, stream.model_coefficients);
 }
 
-void RunEquivalenceSweep(const PreparedDataset& prep) {
-  const StreamingDataset twin = StreamingTwin(prep);
-  ASSERT_EQ(prep.pairs.size(), twin.num_candidates());
+void RunEquivalenceSweep(const PreparedDataset& prep,
+                         const std::vector<CandidatePair>& pairs) {
+  ASSERT_EQ(pairs.size(), prep.num_candidates());
   for (PruningKind kind : AllPruningKinds()) {
     const MetaBlockingConfig config = BaseConfig(kind);
-    const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+    const MetaBlockingResult batch = RunMetaBlocking(prep, pairs, config);
     for (size_t shards : {size_t{1}, size_t{4}, size_t{128}}) {
       for (size_t threads : {size_t{1}, size_t{8}}) {
         StreamingOptions options;
@@ -68,66 +65,89 @@ void RunEquivalenceSweep(const PreparedDataset& prep) {
         MetaBlockingConfig stream_config = config;
         stream_config.execution.num_threads = threads;
         const StreamingResult stream =
-            StreamingExecutor(twin, options).Run(stream_config);
+            StreamingExecutor(prep, options).Run(stream_config);
         ExpectIdentical(batch, stream, kind, shards, threads);
       }
     }
   }
 }
 
+// The counting sweep of PrepareFromBlocks against an independent oracle:
+// materialise the candidates, label each with GroundTruth::IsMatch, and
+// score the whole set with EvaluateBlockingQuality. A rebuild at another
+// thread count must count identically.
+void ExpectCountingSweepMatchesBruteForce(const PreparedDataset& prep) {
+  SCOPED_TRACE(prep.name);
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(*prep.index, 1);
+  ASSERT_EQ(pairs.size(), prep.num_candidates());
+  std::vector<uint64_t> expected;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (prep.ground_truth.IsMatch(pairs[i].left, pairs[i].right)) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(prep.positive_indices, expected);
+
+  const BlockingQuality quality =
+      EvaluateBlockingQuality(pairs, prep.ground_truth);
+  EXPECT_EQ(prep.blocking_quality.num_candidates, quality.num_candidates);
+  EXPECT_EQ(prep.blocking_quality.duplicates_covered,
+            quality.duplicates_covered);
+  EXPECT_EQ(prep.blocking_quality.recall, quality.recall);
+  EXPECT_EQ(prep.blocking_quality.precision, quality.precision);
+  EXPECT_EQ(prep.blocking_quality.f1, quality.f1);
+
+  const PreparedDataset rebuilt = PrepareFromBlocks(
+      prep.name, prep.blocks, prep.ground_truth, /*num_threads=*/4);
+  EXPECT_EQ(rebuilt.pivot_offsets, prep.pivot_offsets);
+  EXPECT_EQ(rebuilt.positive_indices, prep.positive_indices);
+}
+
+TEST(StreamExecutorTest, CountingSweepMatchesBruteForce) {
+  ExpectCountingSweepMatchesBruteForce(MediumDataset());
+  ExpectCountingSweepMatchesBruteForce(SmallDirtyDataset());
+  ExpectCountingSweepMatchesBruteForce(
+      PrepareFromBlocks("paper", testing::PaperExampleBlocks(),
+                        testing::PaperExampleGroundTruth()));
+}
+
 TEST(StreamExecutorTest, PreparationMatchesBatchGeometry) {
   const PreparedDataset& prep = MediumDataset();
-  const StreamingDataset twin = StreamingTwin(prep);
+  const std::vector<CandidatePair>& pairs = MediumPairs();
 
-  ASSERT_EQ(twin.num_candidates(), prep.pairs.size());
-  ASSERT_EQ(twin.pivot_offsets.size(),
-            NumCandidatePivots(*prep.index) + 1);
+  ASSERT_EQ(prep.num_candidates(), pairs.size());
+  ASSERT_EQ(prep.pivot_offsets.size(), NumCandidatePivots(*prep.index) + 1);
   // The offsets must reproduce the grouped-by-pivot order of the batch
   // candidate list.
-  for (size_t i = 0; i < prep.pairs.size(); ++i) {
-    const size_t pivot = prep.pairs[i].left;
-    EXPECT_GE(i, twin.pivot_offsets[pivot]);
-    EXPECT_LT(i, twin.pivot_offsets[pivot + 1]);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const size_t pivot = pairs[i].left;
+    EXPECT_GE(i, prep.pivot_offsets[pivot]);
+    EXPECT_LT(i, prep.pivot_offsets[pivot + 1]);
   }
-  // positive_indices are exactly the ascending candidate indices the batch
-  // path labels positive.
-  std::vector<uint64_t> expected;
-  for (size_t i = 0; i < prep.is_positive.size(); ++i) {
-    if (prep.is_positive[i]) expected.push_back(i);
-  }
-  EXPECT_EQ(expected, twin.positive_indices);
-  EXPECT_EQ(prep.blocking_quality.num_candidates,
-            twin.blocking_quality.num_candidates);
-  EXPECT_EQ(prep.blocking_quality.duplicates_covered,
-            twin.blocking_quality.duplicates_covered);
-  EXPECT_EQ(prep.blocking_quality.recall, twin.blocking_quality.recall);
-  EXPECT_EQ(prep.blocking_quality.precision,
-            twin.blocking_quality.precision);
-  EXPECT_EQ(prep.blocking_quality.f1, twin.blocking_quality.f1);
 }
 
 TEST(StreamExecutorTest, AllKindsMatchBatchCleanClean) {
-  RunEquivalenceSweep(MediumDataset());
+  RunEquivalenceSweep(MediumDataset(), MediumPairs());
 }
 
 TEST(StreamExecutorTest, AllKindsMatchBatchDirty) {
-  RunEquivalenceSweep(SmallDirtyDataset());
+  RunEquivalenceSweep(SmallDirtyDataset(), testing::SmallDirtyPairs());
 }
 
 // LCP forces the precomputed-per-entity path (and the 2014 feature set is
 // the one whose rows depend on a feature the shard cannot see locally).
 TEST(StreamExecutorTest, LcpFeaturesMatchBatch) {
   const PreparedDataset& prep = MediumDataset();
-  const StreamingDataset twin = StreamingTwin(prep);
   MetaBlockingConfig config = BaseConfig(PruningKind::kRcnp);
   config.features = FeatureSet::Paper2014();
-  const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+  const MetaBlockingResult batch = RunMetaBlocking(prep, MediumPairs(), config);
   StreamingOptions options;
   options.num_shards = 5;
   MetaBlockingConfig stream_config = config;
   stream_config.execution.num_threads = 4;
   const StreamingResult stream =
-      StreamingExecutor(twin, options).Run(stream_config);
+      StreamingExecutor(prep, options).Run(stream_config);
   ExpectIdentical(batch, stream, config.pruning, 5, 4);
 }
 
@@ -143,18 +163,19 @@ TEST(StreamExecutorTest, ManyShardDirtyDatasetMatchesBatch) {
   const PreparedDataset prep =
       PrepareDirty(spec.name, data.entities, std::move(gt_copy),
                    BlockingOptions{.execution = {.num_threads = 4}});
-  const StreamingDataset twin = StreamingTwin(prep);
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(*prep.index, 4);
 
   for (PruningKind kind : {PruningKind::kBlast, PruningKind::kWep,
                            PruningKind::kCnp}) {
     MetaBlockingConfig config = BaseConfig(kind);
     config.execution.num_threads = 4;
-    const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+    const MetaBlockingResult batch = RunMetaBlocking(prep, pairs, config);
     for (size_t shards : {size_t{3}, size_t{32}}) {
       StreamingOptions options;
       options.num_shards = shards;
       const StreamingResult stream =
-          StreamingExecutor(twin, options).Run(config);
+          StreamingExecutor(prep, options).Run(config);
       EXPECT_GT(stream.num_shards_used, 1u);
       ExpectIdentical(batch, stream, kind, shards, 4);
     }
@@ -163,14 +184,13 @@ TEST(StreamExecutorTest, ManyShardDirtyDatasetMatchesBatch) {
 
 TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
   const PreparedDataset& prep = MediumDataset();
-  const StreamingDataset twin = StreamingTwin(prep);
   MetaBlockingConfig config = BaseConfig(PruningKind::kBlast);
-  const MetaBlockingResult batch = RunMetaBlocking(prep, config);
+  const MetaBlockingResult batch = RunMetaBlocking(prep, MediumPairs(), config);
 
   StreamingOptions options;
   options.num_shards = 1;
   options.memory_budget_mb = 1;  // ~1 MiB arena => multiple shards
-  const StreamingExecutor executor(twin, options);
+  const StreamingExecutor executor(prep, options);
   const StreamingResult stream = executor.Run(config);
 
   EXPECT_GT(stream.num_shards_used, 1u);
@@ -186,21 +206,20 @@ TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
 
 TEST(StreamExecutorTest, SinkReceivesRetainedAscendingWithPairs) {
   const PreparedDataset& prep = MediumDataset();
-  const StreamingDataset twin = StreamingTwin(prep);
   // One weight-based and one cardinality kind: the two emission paths.
   for (PruningKind kind : {PruningKind::kWnp, PruningKind::kCep}) {
     MetaBlockingConfig config = BaseConfig(kind);
     StreamingOptions options;
     options.num_shards = 4;
     std::vector<uint32_t> seen;
-    StreamingResult stream = StreamingExecutor(twin, options).Run(
+    StreamingResult stream = StreamingExecutor(prep, options).Run(
         config, [&](uint32_t index, const CandidatePair& pair,
                     double probability) {
           if (!seen.empty()) {
             EXPECT_LT(seen.back(), index);
           }
           seen.push_back(index);
-          EXPECT_EQ(prep.pairs[index], pair);
+          EXPECT_EQ(MediumPairs()[index], pair);
           EXPECT_GE(probability, 0.5);  // default validity threshold
         });
     EXPECT_EQ(seen.size(), stream.metrics.retained);
@@ -209,11 +228,11 @@ TEST(StreamExecutorTest, SinkReceivesRetainedAscendingWithPairs) {
 }
 
 TEST(StreamExecutorTest, SweepCountsPerAlgorithmFamily) {
-  const StreamingDataset twin = StreamingTwin(MediumDataset());
+  const PreparedDataset& prep = MediumDataset();
   StreamingOptions options;
   options.num_shards = 4;
   auto sweeps = [&](PruningKind kind) {
-    return StreamingExecutor(twin, options)
+    return StreamingExecutor(prep, options)
         .Run(BaseConfig(kind))
         .sweeps;
   };
@@ -223,11 +242,11 @@ TEST(StreamExecutorTest, SweepCountsPerAlgorithmFamily) {
 }
 
 TEST(StreamExecutorTest, RejectsUnusableOptions) {
-  const StreamingDataset twin = StreamingTwin(MediumDataset());
+  const PreparedDataset& prep = MediumDataset();
   StreamingOptions options;
   options.num_shards = 0;
   options.memory_budget_mb = 0;
-  EXPECT_THROW(StreamingExecutor(twin, options), std::invalid_argument);
+  EXPECT_THROW(StreamingExecutor(prep, options), std::invalid_argument);
 }
 
 }  // namespace

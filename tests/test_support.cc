@@ -78,6 +78,18 @@ const PreparedDataset& SmallDirtyDataset() {
   return *dataset;
 }
 
+const std::vector<CandidatePair>& MediumPairs() {
+  static const auto* pairs = new std::vector<CandidatePair>(
+      GenerateCandidatePairs(*MediumDataset().index));
+  return *pairs;
+}
+
+const std::vector<CandidatePair>& SmallDirtyPairs() {
+  static const auto* pairs = new std::vector<CandidatePair>(
+      GenerateCandidatePairs(*SmallDirtyDataset().index));
+  return *pairs;
+}
+
 PruningFixture RandomPruningGraph(size_t num_nodes, double density,
                                   uint64_t seed) {
   PruningFixture f;

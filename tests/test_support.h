@@ -48,6 +48,11 @@ const PreparedDataset& MediumDataset();
 /// A prepared small Dirty dataset.
 const PreparedDataset& SmallDirtyDataset();
 
+/// The materialised candidate pairs of MediumDataset() and
+/// SmallDirtyDataset() (GenerateCandidatePairs over their index, cached).
+const std::vector<CandidatePair>& MediumPairs();
+const std::vector<CandidatePair>& SmallDirtyPairs();
+
 /// Builds candidate pairs (left < right grouped) and a context for a
 /// synthetic pruning graph over `num_nodes` dirty-ER nodes.
 struct PruningFixture {
