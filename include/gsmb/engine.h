@@ -27,11 +27,13 @@
 //
 // Equivalence contract: for any spec every backend that Supports() it
 // retains the SAME pairs. Batch and streaming are bit-identical by
-// construction (they share the pruning aggregates and the training-sample
-// replay). A serving cold build retains the same pairs when the spec is
-// shard-pure-compatible — Dirty ER, token blocking, filter_ratio 1, a
-// linear classifier — and execution.shards is 1; with more shards the
-// session applies its documented per-shard union semantics instead.
+// construction: both are the StreamingExecutor (stream/), batch at one
+// shard over the handle's materialised pairs, streaming at the spec's
+// shard count regenerating each shard. A serving cold build retains the
+// same pairs when the spec is shard-pure-compatible — Dirty ER, token
+// blocking, filter_ratio 1, a linear classifier — and execution.shards is
+// 1; with more shards the session applies its documented per-shard union
+// semantics instead.
 // tests/api_engine_test.cc locks the three-way equivalence in for all 8
 // pruning kinds; tests/api_prepare_test.cc locks cold == cached.
 
@@ -98,7 +100,8 @@ struct JobResult {
 
   /// Execution shape: candidate-space slices (streaming) or key shards
   /// (serving); 1 for batch. `sweeps` = full passes over the candidate
-  /// space (streaming only).
+  /// space by the execution core (batch and streaming: 1 for BCl and the
+  /// cardinality kinds, 2 for WEP/WNP/RWNP/BLAST; 0 for serving).
   size_t shards_used = 1;
   size_t sweeps = 0;
 
@@ -260,9 +263,12 @@ class Engine {
  private:
   struct PrepareCache;
 
-  /// Supports() check + staged-or-legacy dispatch on one executor.
-  Result<JobResult> Dispatch(const Executor& executor,
-                             const JobSpec& spec) const;
+  /// The one dispatch step behind Execute/Run/RunOn: Supports(), then
+  /// ExecutePrepared against `prepared` (prepared through the cache when
+  /// null) or the executor's legacy Execute, then the cache budget;
+  /// exceptions become Status::Internal.
+  Result<JobResult> Dispatch(const Executor& executor, const JobSpec& spec,
+                             const PreparedInputs* prepared = nullptr) const;
   /// Re-runs the cache's eviction policy (lazy batch materialisation can
   /// grow an entry after its insert-time check).
   void EnforcePrepareBudget() const;

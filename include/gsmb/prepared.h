@@ -18,9 +18,12 @@
 // share one preparation per distinct (dataset, blocking) pair.
 //
 // A handle carries the counting preparation (core/pipeline.h's
-// PreparedDataset), which every backend executes from; the O(|C|) candidate
-// pairs the batch pipeline and the serving bootstrap read are materialised
-// lazily, at most once per handle, on first use. Handles are immutable
+// PreparedDataset), which every backend executes from. Only the batch
+// backend reads the O(|C|) candidate pairs: they are materialised lazily,
+// at most once per handle, on its first run, and lent to the execution
+// core so every later batch variant skips pair generation. Streaming
+// regenerates its shards and the serving bootstrap reads only its sampled
+// training pairs, so neither materialises them. Handles are immutable
 // after construction (the lazy pairs are logically const: built once, then
 // only read) and safe to share across threads.
 
@@ -92,10 +95,11 @@ class PreparedInputs {
   uint64_t num_candidates() const { return dataset.num_candidates(); }
 
   /// Lazily materialises (at most once per handle, thread-safe) and returns
-  /// GenerateCandidatePairs(*dataset.index). Streaming-only users never pay
-  /// this. `materialize_seconds` (optional) receives the build's wall time
-  /// only on the one call that built the pairs and is left untouched on
-  /// every other, so a run charges the cost iff it paid it.
+  /// GenerateCandidatePairs(*dataset.index). Only the batch backend calls
+  /// this; streaming and serving never pay it. `materialize_seconds`
+  /// (optional) receives the build's wall time only on the one call that
+  /// built the pairs and is left untouched on every other, so a run charges
+  /// the cost iff it paid it.
   const std::vector<CandidatePair>& Pairs(
       size_t num_threads, double* materialize_seconds = nullptr) const;
 

@@ -57,12 +57,11 @@ class ServingBackend : public Executor {
     return Status::Ok();
   }
 
-  // The staged path: the handle's blocked, labelled candidate view feeds
-  // model training directly (TrainServingModelFromPrepared), so a cold
-  // build no longer re-blocks inside the trainer — and a cached handle
-  // makes repeat cold builds skip preparation entirely. The session still
-  // tokenizes its own ingests; only the bootstrap training reuses the
-  // preparation.
+  // The staged path: the handle's counting preparation feeds model
+  // training directly (TrainServingModelFromPrepared), so a cold build
+  // never re-blocks inside the trainer — and a cached handle makes repeat
+  // cold builds skip preparation entirely. The session still tokenizes its
+  // own ingests; only the bootstrap training reuses the preparation.
   bool AcceptsPrepared() const override { return true; }
 
   Result<JobResult> ExecutePrepared(
@@ -160,9 +159,10 @@ Result<MetaBlockingSession> BuildServingSession(const JobSpec& spec,
                                                 size_t* training_size,
                                                 obs::PhaseTimings* phases) {
   // Train exactly like the batch backend trains: same preparation, same
-  // balanced-sample seed, same classifier, over the handle's candidate
-  // pairs. The trainer folds the standardisation into raw-space weights,
-  // the one representation a snapshot can carry.
+  // balanced-sample seed, same classifier — reading only the sampled pairs,
+  // so the handle's candidate set is never materialised. The trainer folds
+  // the standardisation into raw-space weights, the one representation a
+  // snapshot can carry.
   const JobInputs& inputs = prepared.inputs;
   ServingModelTraining training;
   training.classifier = spec.classifier;
@@ -172,9 +172,8 @@ Result<MetaBlockingSession> BuildServingSession(const JobSpec& spec,
   obs::PhaseTimings build_phases;
   ServingModel model = [&] {
     obs::ScopedPhase phase(&build_phases, obs::Phase::kTrain);
-    return TrainServingModelFromPrepared(
-        prepared.dataset, prepared.Pairs(training.execution.num_threads),
-        spec.features, training, training_size);
+    return TrainServingModelFromPrepared(prepared.dataset, spec.features,
+                                         training, training_size);
   }();
 
   SessionOptions options;

@@ -1,10 +1,17 @@
-// The streaming backend: stream/'s bounded-memory executor behind the
-// Executor interface. Retained pairs are bit-identical to the batch
-// backend's for any shard/thread count (stream/streaming_executor.h
-// documents why); retained CSV rows stream straight to disk so the mode
-// never buffers O(retained) memory. Executes straight off a shared
-// PreparedInputs handle's counting preparation — a streaming-only sweep
-// never materialises the O(|C|) candidate pairs.
+// The batch and streaming backends: both run stream/'s StreamingExecutor,
+// the one execution core, against a shared PreparedInputs handle.
+//
+//   batch      one shard over the handle's materialised candidate pairs
+//              (PreparedInputs::Pairs(), built at most once per handle and
+//              shared by every run against it);
+//   streaming  spec.execution.shards / memory_budget_mb shards, each
+//              regenerated from the counting preparation — a
+//              streaming-only sweep never materialises the O(|C|) pairs.
+//
+// Retained pairs are bit-identical across the two for any shard/thread
+// count (stream/streaming_executor.h documents why). Retained CSV rows
+// stream straight to disk from the executor's sink, so neither mode
+// buffers O(retained) memory for them.
 
 #include <utility>
 
@@ -17,46 +24,34 @@ namespace gsmb::api {
 
 namespace {
 
-class StreamingBackend : public Executor {
- public:
-  std::string name() const override { return "streaming"; }
-
-  Status Supports(const JobSpec&) const override { return Status::Ok(); }
-
-  bool AcceptsPrepared() const override { return true; }
-
-  Result<JobResult> ExecutePrepared(
-      const JobSpec& spec, const PreparedInputs& prepared) const override {
-    return RunStreamingOn(spec, prepared);
-  }
-
-  Result<JobResult> Execute(const JobSpec& spec) const override {
-    Result<PreparedHandle> prepared = BuildPreparedInputs(spec);
-    if (!prepared.ok()) return prepared.status();
-    return RunStreamingOn(spec, **prepared);
-  }
-};
-
-}  // namespace
-
-Result<JobResult> RunStreamingOn(const JobSpec& spec,
-                                 const PreparedInputs& prepared) {
+Result<JobResult> RunExecutorOn(const JobSpec& spec,
+                                const PreparedInputs& prepared, bool batch) {
   const JobInputs& inputs = prepared.inputs;
   const PreparedDataset& prep = prepared.dataset;
 
   StreamingOptions options;
-  options.num_shards = spec.execution.shards;
-  options.memory_budget_mb = spec.execution.memory_budget_mb;
-  StreamingExecutor executor(prep, options);
+  const std::vector<CandidatePair>* pairs = nullptr;
+  // The handle's one-off candidate materialisation is batch's
+  // pair-generation cost, charged only to the run that paid it.
+  double materialize_seconds = 0.0;
+  if (batch) {
+    options.num_shards = 1;
+    pairs = &prepared.Pairs(ResolvedExecution(spec).num_threads,
+                            &materialize_seconds);
+  } else {
+    options.num_shards = spec.execution.shards;
+    options.memory_budget_mb = spec.execution.memory_budget_mb;
+  }
+  StreamingExecutor executor(prep, options, pairs);
 
   JobResult result;
-  result.backend = "streaming";
+  result.backend = batch ? "batch" : "streaming";
 
   // Retained pairs arrive in ascending global-index order — ascending
-  // (left, right) — so CSV rows and kept pairs match the batch backend's
-  // byte for byte without ever materialising the retained set.
+  // (left, right) — so CSV rows and kept pairs are byte-identical across
+  // backends without ever materialising the retained set.
   std::ofstream csv_file;
-  bool want_csv = !spec.output.retained_csv.empty();
+  const bool want_csv = !spec.output.retained_csv.empty();
   if (want_csv) {
     Result<std::ofstream> csv = OpenRetainedCsv(spec.output.retained_csv);
     if (!csv.ok()) return csv.status();
@@ -93,6 +88,7 @@ Result<JobResult> RunStreamingOn(const JobSpec& spec,
   result.num_candidates = prep.num_candidates();
   result.training_size = run.training_size;
   result.model_coefficients = run.model_coefficients;
+  run.phases.Add(obs::Phase::kPairs, materialize_seconds);
   ApplyPhaseTimings(run.phases, prepared.prepare_seconds, &result);
   result.shards_used = run.num_shards_used;
   result.sweeps = run.sweeps;
@@ -101,15 +97,48 @@ Result<JobResult> RunStreamingOn(const JobSpec& spec,
   result.prepared_digest = prepared.prepared_digest;
   result.retained_digest = digest.Value();
   result.retained_count = digest.count;
-  GSMB_LOG_INFO("run.done", {"backend", "streaming"},
+  GSMB_LOG_INFO("run.done", {"backend", result.backend},
                 {"retained", digest.count},
                 {"shards", run.num_shards_used},
                 {"retained_digest", obs::DigestHex(result.retained_digest)});
   return result;
 }
 
+class ExecutorBackend : public Executor {
+ public:
+  explicit ExecutorBackend(bool batch) : batch_(batch) {}
+
+  std::string name() const override {
+    return batch_ ? "batch" : "streaming";
+  }
+
+  Status Supports(const JobSpec&) const override { return Status::Ok(); }
+
+  bool AcceptsPrepared() const override { return true; }
+
+  Result<JobResult> ExecutePrepared(
+      const JobSpec& spec, const PreparedInputs& prepared) const override {
+    return RunExecutorOn(spec, prepared, batch_);
+  }
+
+  Result<JobResult> Execute(const JobSpec& spec) const override {
+    Result<PreparedHandle> prepared = BuildPreparedInputs(spec);
+    if (!prepared.ok()) return prepared.status();
+    return RunExecutorOn(spec, **prepared, batch_);
+  }
+
+ private:
+  bool batch_;
+};
+
+}  // namespace
+
+std::unique_ptr<Executor> MakeBatchBackend() {
+  return std::make_unique<ExecutorBackend>(/*batch=*/true);
+}
+
 std::unique_ptr<Executor> MakeStreamingBackend() {
-  return std::make_unique<StreamingBackend>();
+  return std::make_unique<ExecutorBackend>(/*batch=*/false);
 }
 
 }  // namespace gsmb::api

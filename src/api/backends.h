@@ -70,17 +70,14 @@ Status FinishRetainedCsv(std::ofstream& out, const std::string& path);
 void ApplyPhaseTimings(const obs::PhaseTimings& phases,
                        double prepare_seconds, JobResult* result);
 
-// -- Backend pipelines ------------------------------------------------------
-// The ExecutePrepared() bodies: per-configuration execution against a
-// shared preparation. The batch path materialises the handle's lazy O(|C|)
-// pairs on first use; the streaming path runs straight off the counting
-// preparation; the serving path trains its resident model from the
-// handle's pairs (the session still tokenizes its own ingests).
+// -- Backends ---------------------------------------------------------------
+// Batch and streaming are one execution core (api/backend_streaming.cc):
+// the StreamingExecutor at one shard over the handle's lazily materialised
+// O(|C|) pairs (batch), or at the spec's shard count regenerating each
+// shard from the counting preparation (streaming). The serving backend
+// trains its resident model from the handle's balanced sample alone and
+// never materialises the pairs (the session tokenizes its own ingests).
 
-Result<JobResult> RunBatchOn(const JobSpec& spec,
-                             const PreparedInputs& prepared);
-Result<JobResult> RunStreamingOn(const JobSpec& spec,
-                                 const PreparedInputs& prepared);
 Result<JobResult> RunServingOn(const JobSpec& spec,
                                const PreparedInputs& prepared);
 
@@ -90,7 +87,9 @@ std::unique_ptr<Executor> MakeServingBackend();
 
 /// Session construction for the serving backend, shared with
 /// Engine::OpenSession: trains the resident model from `prepared` (a
-/// preparation of the SAME spec) and ingests its profiles.
+/// preparation of the SAME spec; only its sampled training pairs are read,
+/// so `prepared.pairs_materialized()` stays false) and ingests its
+/// profiles.
 /// `cold_build_universe` pins the CNP entity universe to the profile count
 /// (one-shot Run; batch parity); OpenSession leaves it unset for the
 /// incremental present-entity semantics. `training_size` (optional)

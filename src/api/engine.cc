@@ -486,22 +486,7 @@ Result<JobResult> Engine::Execute(const JobSpec& spec,
   if (executor == nullptr) {
     return Status::NotFound("no backend named '" + name + "' is registered");
   }
-  Status supported = executor->Supports(spec);
-  if (!supported.ok()) return supported;
-  try {
-    if (!executor->AcceptsPrepared()) {
-      // Executors that load their own inputs (custom registrations) run
-      // their legacy path; the handle stays untouched.
-      return executor->Execute(spec);
-    }
-    Result<JobResult> result = executor->ExecutePrepared(spec, prepared);
-    // Lazy materialisation (the O(|C|) candidate pairs) can grow a cached
-    // entry after its insert-time budget check; re-enforce now.
-    EnforcePrepareBudget();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal("backend '" + name + "' failed: " + e.what());
-  }
+  return Dispatch(*executor, spec, &prepared);
 }
 
 void Engine::EnforcePrepareBudget() const {
@@ -521,23 +506,31 @@ PrepareCacheStats Engine::prepare_cache_stats() const {
 }
 
 Result<JobResult> Engine::Dispatch(const Executor& executor,
-                                   const JobSpec& spec) const {
+                                   const JobSpec& spec,
+                                   const PreparedInputs* prepared) const {
   Status supported = executor.Supports(spec);
   if (!supported.ok()) return supported;
   try {
-    if (executor.AcceptsPrepared()) {
-      // The staged path: prepare through the cache, execute against the
-      // shared handle. Run() is exactly Prepare + ExecutePrepared.
-      Result<PreparedHandle> prepared = Prepare(spec);
-      if (!prepared.ok()) return prepared.status();
-      Result<JobResult> result = executor.ExecutePrepared(spec, **prepared);
-      // Lazy materialisation can grow the cached entry past its
-      // insert-time budget check; re-enforce now.
-      EnforcePrepareBudget();
-      return result;
+    if (!executor.AcceptsPrepared()) {
+      // Executors that load their own inputs (custom registrations) run
+      // their legacy path; a given handle stays untouched.
+      return executor.Execute(spec);
     }
-    // Executors that load their own inputs (custom registrations).
-    return executor.Execute(spec);
+    // The staged path: execute against the shared handle, preparing it
+    // through the cache when the caller has none. Run() is exactly
+    // Prepare + ExecutePrepared.
+    PreparedHandle cached;
+    if (prepared == nullptr) {
+      Result<PreparedHandle> built = Prepare(spec);
+      if (!built.ok()) return built.status();
+      cached = std::move(*built);
+      prepared = cached.get();
+    }
+    Result<JobResult> result = executor.ExecutePrepared(spec, *prepared);
+    // Lazy materialisation (the O(|C|) candidate pairs) can grow a cached
+    // entry after its insert-time budget check; re-enforce now.
+    EnforcePrepareBudget();
+    return result;
   } catch (const std::exception& e) {
     return Status::Internal("backend '" + executor.name() +
                             "' failed: " + e.what());
@@ -595,9 +588,9 @@ Result<MetaBlockingSession> Engine::OpenSession(const JobSpec& spec) const {
   Status supported = serving->Supports(spec);
   if (!supported.ok()) return supported;
   try {
-    // Prepare through the cache: the session's bootstrap training consumes
-    // the handle's pairs, and a later Run() of the same spec reuses the
-    // same preparation.
+    // Prepare through the cache: the session's bootstrap training reads
+    // the handle's sampled pairs only, and a later Run() of the same spec
+    // reuses the same preparation.
     Result<PreparedHandle> prepared = Prepare(spec);
     if (!prepared.ok()) return prepared.status();
     return api::BuildServingSession(spec, **prepared,

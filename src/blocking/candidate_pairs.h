@@ -8,6 +8,7 @@
 #ifndef GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 #define GSMB_BLOCKING_CANDIDATE_PAIRS_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "blocking/entity_index.h"
@@ -25,6 +26,12 @@ struct CandidatePair {
 
   bool operator==(const CandidatePair& other) const = default;
 };
+
+/// Chunk grain of every per-pivot sweep: candidate generation, the counting
+/// preparation (core/pipeline.cc) and streaming pair regeneration. Pivots
+/// carry much more work each than candidate pairs do, so they chunk at a
+/// finer grain than kDefaultChunkGrain.
+inline constexpr size_t kPivotChunkGrain = 1024;
 
 /// Generates the distinct candidate set C.
 ///

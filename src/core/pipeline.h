@@ -9,8 +9,10 @@
 // features, sample a balanced training set, train the probabilistic
 // classifier, weight all candidate pairs, prune, and evaluate — reporting
 // the paper's measures (recall, precision, F1) and the run-time breakdown
-// that makes up RT. The bounded-memory executor (stream/) runs the same
-// configuration off the same preparation, one shard of pairs at a time.
+// that makes up RT. It is the in-memory reference the paper harnesses
+// (eval/experiment) run and the executor tests compare against; the
+// Engine's batch and streaming backends run the same configuration through
+// the StreamingExecutor (stream/) off the same preparation, bit-identically.
 
 #ifndef GSMB_CORE_PIPELINE_H_
 #define GSMB_CORE_PIPELINE_H_

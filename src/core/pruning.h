@@ -116,9 +116,10 @@ class PruningAlgorithm {
   std::string Name() const { return PruningKindName(kind()); }
 };
 
-/// The algorithm of `kind`: every kind runs the chunk-decomposed
-/// aggregator of core/pruning_aggregates.h that the streaming executor
-/// drives one shard at a time, which keeps the two paths bit-identical.
+/// The algorithm of `kind`: every kind runs PruneWithAggregator
+/// (core/pruning_aggregates.h), whose accumulate and keep loops the
+/// streaming executor runs one shard at a time, which keeps the two paths
+/// bit-identical.
 std::unique_ptr<PruningAlgorithm> MakePruningAlgorithm(PruningKind kind);
 
 /// All kinds, in the order the paper discusses them.

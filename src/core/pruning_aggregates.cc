@@ -4,7 +4,6 @@
 #include <cmath>
 #include <queue>
 
-#include "core/pruning_detail.h"
 #include "util/thread_pool.h"
 
 namespace gsmb {
@@ -510,29 +509,62 @@ std::unique_ptr<PruningAggregator> MakePruningAggregator(
   return nullptr;
 }
 
+void AccumulateChunks(const ResidentChunks& slice, size_t num_threads,
+                      PruningAggregator* aggregator) {
+  const std::vector<ChunkRange>& chunks = *slice.chunks;
+  ParallelFor(slice.chunk_end - slice.chunk_begin, num_threads,
+              [&](size_t begin, size_t end) {
+                std::unique_ptr<AggregatorScratch> scratch =
+                    aggregator->MakeScratch();
+                const size_t first = chunks[slice.chunk_begin].begin;
+                for (size_t c = slice.chunk_begin + begin;
+                     c < slice.chunk_begin + end; ++c) {
+                  PairChunkView view;
+                  view.chunk_index = c;
+                  view.first_index = chunks[c].begin;
+                  view.pairs = slice.pairs + (chunks[c].begin - first);
+                  view.probabilities =
+                      slice.probabilities + (chunks[c].begin - first);
+                  view.count = chunks[c].end - chunks[c].begin;
+                  aggregator->AccumulateChunk(view, scratch.get());
+                }
+              });
+  aggregator->FoldChunks(slice.chunk_begin, slice.chunk_end);
+}
+
+std::vector<uint32_t> KeepChunks(const ResidentChunks& slice,
+                                 size_t num_threads,
+                                 const PruningAggregator& aggregator) {
+  const std::vector<ChunkRange>& chunks = *slice.chunks;
+  std::vector<std::vector<uint32_t>> parts(slice.chunk_end -
+                                           slice.chunk_begin);
+  ParallelFor(parts.size(), num_threads, [&](size_t begin, size_t end) {
+    const size_t first = chunks[slice.chunk_begin].begin;
+    for (size_t part = begin; part < end; ++part) {
+      const ChunkRange& chunk = chunks[slice.chunk_begin + part];
+      for (size_t i = chunk.begin; i < chunk.end; ++i) {
+        if (aggregator.Keep(i, slice.pairs[i - first],
+                            slice.probabilities[i - first])) {
+          parts[part].push_back(static_cast<uint32_t>(i));
+        }
+      }
+    }
+  });
+  return MergeChunkParts(&parts, num_threads);
+}
+
 std::vector<uint32_t> PruneWithAggregator(
     PruningKind kind, const std::vector<CandidatePair>& pairs,
     const std::vector<double>& probabilities, const PruningContext& context) {
   const std::vector<ChunkRange> chunks = DeterministicChunks(pairs.size());
   std::unique_ptr<PruningAggregator> aggregator =
       MakePruningAggregator(kind, chunks.size(), context);
+  const ResidentChunks all{&chunks, 0, chunks.size(), pairs.data(),
+                           probabilities.data()};
+  const size_t threads = context.execution.num_threads;
 
   if (aggregator->needs_accumulation()) {
-    ParallelFor(chunks.size(), context.execution.num_threads,
-                [&](size_t chunks_begin, size_t chunks_end) {
-                  std::unique_ptr<AggregatorScratch> scratch =
-                      aggregator->MakeScratch();
-                  for (size_t c = chunks_begin; c < chunks_end; ++c) {
-                    PairChunkView view;
-                    view.chunk_index = c;
-                    view.first_index = chunks[c].begin;
-                    view.pairs = pairs.data() + chunks[c].begin;
-                    view.probabilities = probabilities.data() + chunks[c].begin;
-                    view.count = chunks[c].end - chunks[c].begin;
-                    aggregator->AccumulateChunk(view, scratch.get());
-                  }
-                });
-    aggregator->FoldChunks(0, chunks.size());
+    AccumulateChunks(all, threads, aggregator.get());
     aggregator->Finalize();
   }
 
@@ -545,12 +577,7 @@ std::vector<uint32_t> PruneWithAggregator(
     }
     return indices;
   }
-
-  return detail::ChunkedRetain(pairs.size(), context.execution.num_threads,
-                               [&](size_t i) {
-                                 return aggregator->Keep(i, pairs[i],
-                                                         probabilities[i]);
-                               });
+  return KeepChunks(all, threads, *aggregator);
 }
 
 }  // namespace gsmb

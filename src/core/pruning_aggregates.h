@@ -19,11 +19,11 @@
 //      needs a second sweep over the candidates) or a drain of the
 //      accumulated top-k structures (cardinality kinds; no second sweep).
 //
-// The batch path materialises all pairs and calls PruneWithAggregator; the
-// streaming path feeds the same aggregator one shard-sized slice of chunks
-// at a time and folds after each shard, which is the identical fold
-// sequence. That shared code path — not a parallel reimplementation — is
-// the bit-identity guarantee.
+// PruneWithAggregator runs both sweeps over one in-memory candidate set;
+// the streaming executor runs the same two loops (AccumulateChunks,
+// KeepChunks) over one shard-sized slice of chunks at a time, folding after
+// each shard, which is the identical fold sequence. That shared code path —
+// not a parallel reimplementation — is the bit-identity guarantee.
 
 #ifndef GSMB_CORE_PRUNING_AGGREGATES_H_
 #define GSMB_CORE_PRUNING_AGGREGATES_H_
@@ -34,13 +34,15 @@
 
 #include "blocking/candidate_pairs.h"
 #include "core/pruning.h"
+#include "util/thread_pool.h"
 
 namespace gsmb {
 
 /// One deterministic chunk of the candidate space. `first_index` is the
-/// GLOBAL candidate index of `pairs[0]`; in the batch path it equals the
-/// offset into the full arrays, in the streaming path the arrays are
-/// shard-local slices and only `first_index` carries the global position.
+/// GLOBAL candidate index of `pairs[0]`; over a whole in-memory candidate
+/// set it equals the offset into the full arrays, over a streaming shard
+/// the arrays are shard-local slices and only `first_index` carries the
+/// global position.
 struct PairChunkView {
   size_t chunk_index = 0;  ///< position in the global chunk table
   size_t first_index = 0;  ///< global candidate index of pairs[0]
@@ -103,14 +105,37 @@ class PruningAggregator {
   virtual std::vector<RetainedCandidate> TakeRetained() { return {}; }
 };
 
+/// The candidates of chunks [chunk_begin, chunk_end) of the global chunk
+/// table, resident in memory: `pairs[i]` and `probabilities[i]` describe
+/// global candidate chunks[chunk_begin].begin + i.
+struct ResidentChunks {
+  const std::vector<ChunkRange>* chunks = nullptr;
+  size_t chunk_begin = 0;
+  size_t chunk_end = 0;
+  const CandidatePair* pairs = nullptr;
+  const double* probabilities = nullptr;
+};
+
+/// The accumulate sweep over one resident slice: accumulates its chunks in
+/// parallel, then folds them. Slices must arrive in ascending chunk order.
+void AccumulateChunks(const ResidentChunks& slice, size_t num_threads,
+                      PruningAggregator* aggregator);
+
+/// The keep sweep over one resident slice (weight-based kinds, after
+/// Finalize()): the ascending global indices of the candidates Keep()
+/// retains, bit-identical for any `num_threads`.
+std::vector<uint32_t> KeepChunks(const ResidentChunks& slice,
+                                 size_t num_threads,
+                                 const PruningAggregator& aggregator);
+
 /// `num_chunks` must equal DeterministicChunks(num_candidates).size(). The
 /// context is captured by value (num_nodes, thresholds, budgets, ratio).
 std::unique_ptr<PruningAggregator> MakePruningAggregator(
     PruningKind kind, size_t num_chunks, const PruningContext& context);
 
 /// The fully in-memory driver every PruningAlgorithm::Prune delegates to:
-/// accumulate all chunks in parallel, fold once in chunk order, then decide.
-/// Bit-identical for any `context.execution.num_threads`.
+/// AccumulateChunks over every chunk, then KeepChunks or the cardinality
+/// drain. Bit-identical for any `context.execution.num_threads`.
 std::vector<uint32_t> PruneWithAggregator(
     PruningKind kind, const std::vector<CandidatePair>& pairs,
     const std::vector<double>& probabilities, const PruningContext& context);

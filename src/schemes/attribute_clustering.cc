@@ -128,7 +128,11 @@ std::vector<std::string> ClusterPrefixes(
   std::vector<std::string> prefixes(entries.size(), "g#");
   size_t next_id = 0;
   for (auto& [smallest, members] : by_smallest) {
-    const std::string prefix = "c" + std::to_string(next_id++) + "#";
+    // Appended, not concatenated with operator+ onto a temporary: that
+    // trips a GCC 12 -Wrestrict false positive at -O3 (GCC bug 105651).
+    std::string prefix = "c";
+    prefix += std::to_string(next_id++);
+    prefix += '#';
     for (size_t member : members) prefixes[member] = prefix;
   }
   return prefixes;

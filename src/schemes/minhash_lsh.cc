@@ -81,7 +81,13 @@ KeyFunction BucketKeys(std::vector<HashParams> family, size_t bands,
       char hex[17];
       std::snprintf(hex, sizeof(hex), "%016llx",
                     static_cast<unsigned long long>(digest));
-      keys.push_back("b" + std::to_string(band) + "#" + hex);
+      // Appended, not concatenated with operator+ onto a temporary: that
+      // trips a GCC 12 -Wrestrict false positive at -O3 (GCC bug 105651).
+      std::string key = "b";
+      key += std::to_string(band);
+      key += '#';
+      key += hex;
+      keys.push_back(std::move(key));
     }
     return keys;
   };

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "core/pipeline.h"
 #include "ml/logistic_regression.h"
+#include "stream/streaming_executor.h"
 
 namespace gsmb {
 
@@ -23,38 +23,6 @@ std::vector<double> ServingModel::PredictRows(const Matrix& x) const {
   return out;
 }
 
-namespace {
-
-MetaBlockingConfig TrainingConfig(const FeatureSet& features,
-                                  const ServingModelTraining& options) {
-  MetaBlockingConfig config;
-  config.features = features;
-  config.classifier = options.classifier;
-  config.train_per_class = options.train_per_class;
-  config.seed = options.seed;
-  config.execution = options.execution;
-  return config;
-}
-
-ServingModel ModelFromCoefficients(const MetaBlockingResult& result,
-                                   const FeatureSet& features,
-                                   size_t* training_size) {
-  if (training_size != nullptr) *training_size = result.training_size;
-  if (result.model_coefficients.size() != features.Dimensions() + 1) {
-    throw std::runtime_error(
-        "TrainServingModel: classifier has no raw-space linear form (use "
-        "logistic regression or linear SVC)");
-  }
-  ServingModel model;
-  model.features = features;
-  model.weights.assign(result.model_coefficients.begin(),
-                       result.model_coefficients.end() - 1);
-  model.intercept = result.model_coefficients.back();
-  return model;
-}
-
-}  // namespace
-
 ServingModel TrainServingModel(const EntityCollection& labelled,
                                const GroundTruth& ground_truth,
                                const FeatureSet& features,
@@ -68,23 +36,40 @@ ServingModel TrainServingModel(const EntityCollection& labelled,
   blocking.execution = options.execution;
   const PreparedDataset prep =
       PrepareDirty("serving-bootstrap", labelled, ground_truth, blocking);
-  return TrainServingModelFromPrepared(
-      prep, GenerateCandidatePairs(*prep.index, options.execution.num_threads),
-      features, options, training_size);
+  return TrainServingModelFromPrepared(prep, features, options,
+                                       training_size);
 }
 
-ServingModel TrainServingModelFromPrepared(
-    const PreparedDataset& prepared, const std::vector<CandidatePair>& pairs,
-    const FeatureSet& features, const ServingModelTraining& options,
-    size_t* training_size) {
+ServingModel TrainServingModelFromPrepared(const PreparedDataset& prepared,
+                                           const FeatureSet& features,
+                                           const ServingModelTraining& options,
+                                           size_t* training_size) {
   if (prepared.ground_truth.empty()) {
     throw std::invalid_argument(
         "TrainServingModelFromPrepared: ground truth has no labelled "
         "matches");
   }
-  MetaBlockingResult result =
-      RunMetaBlocking(prepared, pairs, TrainingConfig(features, options));
-  return ModelFromCoefficients(result, features, training_size);
+  MetaBlockingConfig config;
+  config.features = features;
+  config.classifier = options.classifier;
+  config.train_per_class = options.train_per_class;
+  config.seed = options.seed;
+  config.execution = options.execution;
+  const TrainedClassifier trained = TrainFromSample(prepared, config);
+  if (training_size != nullptr) *training_size = trained.training_size;
+
+  const std::vector<double> coefficients =
+      trained.model->CoefficientsWithIntercept();
+  if (coefficients.size() != features.Dimensions() + 1) {
+    throw std::runtime_error(
+        "TrainServingModel: classifier has no raw-space linear form (use "
+        "logistic regression or linear SVC)");
+  }
+  ServingModel model;
+  model.features = features;
+  model.weights.assign(coefficients.begin(), coefficients.end() - 1);
+  model.intercept = coefficients.back();
+  return model;
 }
 
 }  // namespace gsmb

@@ -59,13 +59,13 @@ struct ServingModelTraining {
   ExecutionOptions execution;
 };
 
-/// Trains a classifier with the batch pipeline (Token Blocking -> purging ->
-/// filtering -> features -> balanced sample -> fit) on a labelled Dirty-ER
-/// collection and returns its raw-space linear form: PrepareDirty, then
-/// TrainServingModelFromPrepared over its candidate pairs. Throws when the
-/// chosen classifier has no linear representation (Gaussian Naive Bayes) or
-/// when the data yields too few labelled candidate pairs to train.
-/// `training_size` (optional) receives the balanced sample's actual size.
+/// Trains a classifier on a labelled Dirty-ER collection (Token Blocking ->
+/// purging -> filtering -> balanced sample -> features of the sampled pairs
+/// -> fit) and returns its raw-space linear form: PrepareDirty, then
+/// TrainServingModelFromPrepared. Throws when the chosen classifier has no
+/// linear representation (Gaussian Naive Bayes) or when the data yields too
+/// few labelled candidate pairs to train. `training_size` (optional)
+/// receives the balanced sample's actual size.
 ServingModel TrainServingModel(const EntityCollection& labelled,
                                const GroundTruth& ground_truth,
                                const FeatureSet& features,
@@ -73,13 +73,15 @@ ServingModel TrainServingModel(const EntityCollection& labelled,
                                size_t* training_size = nullptr);
 
 /// Trains from an existing preparation instead of re-blocking inside the
-/// trainer: `pairs` is the dataset's materialised candidate set (an Engine
-/// prepared handle's Pairs(), or GenerateCandidatePairs(*prepared.index))
-/// and only the per-configuration stages run. `options.blocking` is ignored
-/// (the preparation already applied it).
+/// trainer: TrainFromSample (stream/streaming_executor.h) draws the batch
+/// pipeline's balanced sample and extracts features for the sampled pairs
+/// only, so the bootstrap never materialises, scores or prunes the other
+/// candidates. The model equals the one RunMetaBlocking fits on the same
+/// preparation. `options.blocking` is ignored (the preparation already
+/// applied it).
 ServingModel TrainServingModelFromPrepared(
-    const PreparedDataset& prepared, const std::vector<CandidatePair>& pairs,
-    const FeatureSet& features, const ServingModelTraining& options = {},
+    const PreparedDataset& prepared, const FeatureSet& features,
+    const ServingModelTraining& options = {},
     size_t* training_size = nullptr);
 
 }  // namespace gsmb

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/features.h"
 #include "core/pruning_aggregates.h"
@@ -16,26 +16,105 @@ namespace gsmb {
 
 namespace {
 
-// Mirrors the pivot chunking of blocking/candidate_pairs.cc.
-constexpr size_t kPivotChunkGrain = 1024;
-
 constexpr size_t kNoPivot = std::numeric_limits<size_t>::max();
+
+/// Pivot owning global candidate index `index`.
+size_t PivotOf(const std::vector<uint64_t>& pivot_offsets, uint64_t index) {
+  auto it = std::upper_bound(pivot_offsets.begin(), pivot_offsets.end(),
+                             index);
+  return static_cast<size_t>(it - pivot_offsets.begin()) - 1;
+}
+
+/// Regenerates single candidates by global index, one pivot's neighbours
+/// at a time — cheap when the indices arrive grouped by pivot (ascending).
+class PairRegenerator {
+ public:
+  explicit PairRegenerator(const PreparedDataset& dataset)
+      : offsets_(dataset.pivot_offsets), generator_(*dataset.index) {}
+
+  CandidatePair At(uint64_t index) {
+    const size_t pivot = PivotOf(offsets_, index);
+    if (pivot != pivot_) {
+      generator_.Generate(pivot, &neighbours_);
+      pivot_ = pivot;
+    }
+    return {static_cast<EntityId>(pivot), neighbours_[index - offsets_[pivot]]};
+  }
+
+ private:
+  const std::vector<uint64_t>& offsets_;
+  PivotNeighbourGenerator generator_;
+  std::vector<EntityId> neighbours_;
+  size_t pivot_ = kNoPivot;
+};
 
 }  // namespace
 
+TrainedClassifier TrainFromSample(const PreparedDataset& dataset,
+                                  const MetaBlockingConfig& config,
+                                  const std::vector<double>* lcp) {
+  Rng rng(config.seed);
+  const TrainingSet training = SampleBalancedFromPlan(
+      dataset.positive_indices, dataset.num_candidates(),
+      config.train_per_class, &rng);
+  if (training.size() < 2) {
+    throw std::runtime_error(
+        "TrainFromSample: not enough labelled pairs to train (dataset '" +
+        dataset.name + "')");
+  }
+
+  // Feature rows for the sampled pairs only: regenerate them in ascending
+  // index order (FeatureExtractor's grouped-by-pivot invariant), then place
+  // each row at its position in the sampler's positives-then-negatives
+  // layout, which is the row order RunMetaBlocking trains on.
+  std::vector<size_t> order(training.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return training.row_indices[a] < training.row_indices[b];
+  });
+  std::vector<CandidatePair> sorted_pairs(order.size());
+  PairRegenerator regenerator(dataset);
+  for (size_t k = 0; k < order.size(); ++k) {
+    sorted_pairs[k] = regenerator.At(training.row_indices[order[k]]);
+  }
+  const Matrix sorted_features =
+      FeatureExtractor(*dataset.index, sorted_pairs)
+          .Compute(config.features, config.execution.num_threads, lcp);
+  Matrix train_x(training.size(), sorted_features.cols());
+  for (size_t k = 0; k < order.size(); ++k) {
+    const double* src = sorted_features.Row(k);
+    std::copy(src, src + sorted_features.cols(), train_x.Row(order[k]));
+  }
+
+  TrainedClassifier trained;
+  trained.model = MakeClassifier(config.classifier, config.seed);
+  trained.model->Fit(train_x, training.labels);
+  trained.training_size = training.size();
+  return trained;
+}
+
 struct StreamingExecutor::ShardArena {
-  std::vector<CandidatePair> pairs;
-  Matrix features;
+  /// The shard's pairs: the lent set, or `own_pairs` when regenerated.
+  const std::vector<CandidatePair>* pairs = nullptr;
+  std::vector<CandidatePair> own_pairs;
   std::vector<double> probabilities;
 };
 
 StreamingExecutor::StreamingExecutor(const PreparedDataset& dataset,
-                                     StreamingOptions options)
-    : dataset_(dataset), options_(options) {
+                                     StreamingOptions options,
+                                     const std::vector<CandidatePair>* pairs)
+    : dataset_(dataset), options_(options), pairs_(pairs) {
   if (options_.num_shards == 0 && options_.memory_budget_mb == 0) {
     throw std::invalid_argument(
         "StreamingExecutor: options need num_shards > 0 or a positive "
         "memory budget");
+  }
+  if (pairs_ != nullptr &&
+      (pairs_->size() != dataset_.num_candidates() ||
+       options_.num_shards != 1 || options_.memory_budget_mb != 0)) {
+    throw std::invalid_argument(
+        "StreamingExecutor: lent pairs must be the dataset's candidate set, "
+        "run as one shard");
   }
 }
 
@@ -76,27 +155,24 @@ std::vector<StreamingExecutor::ShardSlice> StreamingExecutor::PlanShards(
   return slices;
 }
 
-size_t StreamingExecutor::PivotOf(uint64_t index) const {
-  const std::vector<uint64_t>& offsets = dataset_.pivot_offsets;
-  auto it = std::upper_bound(offsets.begin(), offsets.end(), index);
-  return static_cast<size_t>(it - offsets.begin()) - 1;
-}
-
-void StreamingExecutor::FillArena(const ShardSlice& shard,
-                                  const MetaBlockingConfig& config,
-                                  const ProbabilisticClassifier& model,
-                                  const std::vector<double>* lcp,
-                                  ShardArena* arena,
-                                  StreamingResult* timings) const {
+Matrix StreamingExecutor::ExtractShard(const ShardSlice& shard,
+                                       const MetaBlockingConfig& config,
+                                       const std::vector<double>* lcp,
+                                       ShardArena* arena,
+                                       StreamingResult* timings) const {
   const EntityIndex& index = *dataset_.index;
   const std::vector<uint64_t>& offsets = dataset_.pivot_offsets;
 
-  // ---- Regenerate the shard's slice of the global candidate order. ----
-  {
+  // ---- The shard's slice of the global candidate order: the lent set
+  // (one shard spanning it), or regenerated pivot by pivot. ----
+  if (pairs_ != nullptr) {
+    arena->pairs = pairs_;
+  } else {
     obs::ScopedPhase phase(&timings->phases, obs::Phase::kPairs);
-    arena->pairs.resize(shard.end_index - shard.first_index);
-    const size_t pivot_begin = PivotOf(shard.first_index);
-    const size_t pivot_end = PivotOf(shard.end_index - 1) + 1;
+    arena->pairs = &arena->own_pairs;
+    arena->own_pairs.resize(shard.end_index - shard.first_index);
+    const size_t pivot_begin = PivotOf(offsets, shard.first_index);
+    const size_t pivot_end = PivotOf(offsets, shard.end_index - 1) + 1;
     const std::vector<ChunkRange> pivot_chunks =
         DeterministicChunks(pivot_end - pivot_begin, kPivotChunkGrain);
     ParallelFor(
@@ -115,7 +191,7 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
               if (begin >= end) continue;  // empty pivot, or boundary overlap
               generator.Generate(pivot, &neighbours);
               for (uint64_t i = begin; i < end; ++i) {
-                arena->pairs[i - shard.first_index] = {
+                arena->own_pairs[i - shard.first_index] = {
                     static_cast<EntityId>(pivot),
                     neighbours[i - offsets[pivot]]};
               }
@@ -124,21 +200,11 @@ void StreamingExecutor::FillArena(const ShardSlice& shard,
         });
   }
 
-  // ---- Features (against the GLOBAL index: rows are bit-identical to the
-  // corresponding rows of the batch path's full matrix). ----
-  {
-    obs::ScopedPhase phase(&timings->phases, obs::Phase::kFeatures);
-    FeatureExtractor extractor(index, arena->pairs);
-    arena->features = extractor.Compute(config.features,
-                                        config.execution.num_threads, lcp);
-  }
-
-  // ---- Classify. ----
-  {
-    obs::ScopedPhase phase(&timings->phases, obs::Phase::kClassify);
-    arena->probabilities =
-        model.PredictBatch(arena->features, config.execution.num_threads);
-  }
+  // ---- Features, against the GLOBAL index: rows are bit-identical to the
+  // corresponding rows of the full candidate matrix. ----
+  obs::ScopedPhase phase(&timings->phases, obs::Phase::kFeatures);
+  return FeatureExtractor(index, *arena->pairs)
+      .Compute(config.features, config.execution.num_threads, lcp);
 }
 
 StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
@@ -148,9 +214,10 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   if (n64 > std::numeric_limits<uint32_t>::max()) {
     throw std::runtime_error(
         "StreamingExecutor: candidate count exceeds the 32-bit pair index "
-        "space shared with the batch path");
+        "space");
   }
   const auto n = static_cast<size_t>(n64);
+  const size_t threads = config.execution.num_threads;
   const std::vector<ChunkRange> chunks = DeterministicChunks(n);
 
   StreamingResult result;
@@ -166,112 +233,65 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
                                     StreamingArenaBytesPerPair(
                                         config.features.Dimensions())));
 
-  // ---- LCP once, reused by every per-shard extraction. ----
+  // ---- LCP once, reused by the training rows and every shard. ----
   static const std::vector<CandidatePair> kNoPairs;
   std::vector<double> lcp;
   const std::vector<double>* lcp_ptr = nullptr;
   if (config.features.Contains(Feature::kLcp)) {
     obs::ScopedPhase phase(&result.phases, obs::Phase::kFeatures);
-    lcp = FeatureExtractor(index, kNoPairs)
-              .ComputeLcpPerEntity(config.execution.num_threads);
+    lcp = FeatureExtractor(index, kNoPairs).ComputeLcpPerEntity(threads);
     lcp_ptr = &lcp;
   }
 
-  // ---- Training: replay of the batch sample, rows and fit. ----
   std::unique_ptr<ProbabilisticClassifier> model;
   {
-  obs::ScopedPhase train_phase(&result.phases, obs::Phase::kTrain);
-  Rng rng(config.seed);
-  TrainingSet training = SampleBalancedFromPlan(
-      dataset_.positive_indices, n64, config.train_per_class, &rng);
-  if (training.size() < 2) {
-    throw std::runtime_error(
-        "StreamingExecutor: not enough labelled pairs to train (dataset '" +
-        dataset_.name + "')");
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kTrain);
+    TrainedClassifier trained = TrainFromSample(dataset_, config, lcp_ptr);
+    result.training_size = trained.training_size;
+    result.model_coefficients = trained.model->CoefficientsWithIntercept();
+    model = std::move(trained.model);
   }
 
-  // Feature rows for the training pairs only: regenerate them grouped by
-  // pivot (FeatureExtractor's order invariant), then reorder the rows into
-  // the sampler's positives-then-negatives layout the batch path trains on.
-  std::vector<uint64_t> sorted_rows(training.row_indices.begin(),
-                                    training.row_indices.end());
-  std::sort(sorted_rows.begin(), sorted_rows.end());
-  std::vector<CandidatePair> training_pairs(sorted_rows.size());
-  {
-    PivotNeighbourGenerator generator(index);
-    std::vector<EntityId> neighbours;
-    size_t current_pivot = kNoPivot;
-    for (size_t r = 0; r < sorted_rows.size(); ++r) {
-      const size_t pivot = PivotOf(sorted_rows[r]);
-      if (pivot != current_pivot) {
-        generator.Generate(pivot, &neighbours);
-        current_pivot = pivot;
-      }
-      training_pairs[r] = {
-          static_cast<EntityId>(pivot),
-          neighbours[sorted_rows[r] - dataset_.pivot_offsets[pivot]]};
-    }
-  }
-  FeatureExtractor training_extractor(index, training_pairs);
-  const Matrix sorted_features = training_extractor.Compute(
-      config.features, config.execution.num_threads, lcp_ptr);
-  std::unordered_map<uint64_t, size_t> row_of;
-  row_of.reserve(sorted_rows.size());
-  for (size_t r = 0; r < sorted_rows.size(); ++r) row_of[sorted_rows[r]] = r;
-  Matrix train_x(training.size(), sorted_features.cols());
-  for (size_t t = 0; t < training.row_indices.size(); ++t) {
-    const double* src =
-        sorted_features.Row(row_of.at(training.row_indices[t]));
-    std::copy(src, src + sorted_features.cols(), train_x.Row(t));
-  }
+  // Scoring a shard fills the arena with its pairs and probabilities. A
+  // single shard is scored once here and stays resident for every sweep;
+  // several shards are re-scored per sweep.
+  ShardArena arena;
+  auto score = [&](const ShardSlice& shard) {
+    const Matrix features =
+        ExtractShard(shard, config, lcp_ptr, &arena, &result);
+    obs::ScopedPhase phase(&result.phases, obs::Phase::kClassify);
+    arena.probabilities = model->PredictBatch(features, threads);
+  };
+  const bool single_shard = shards.size() == 1;
+  if (single_shard) score(shards[0]);
+  auto score_if_sharded = [&](const ShardSlice& shard) {
+    if (!single_shard) score(shard);
+  };
 
-  model = MakeClassifier(config.classifier, config.seed);
-  model->Fit(train_x, training.labels);
-  result.training_size = training.size();
-  result.model_coefficients = model->CoefficientsWithIntercept();
-  }
-
-  // ---- Pruning context, identical to the batch path's. ----
-  PruningContext context =
-      PruningContext::FromIndex(index, dataset_.stats);
+  // ---- Pruning context, identical to RunMetaBlocking's. ----
+  PruningContext context = PruningContext::FromIndex(index, dataset_.stats);
   context.blast_ratio = config.blast_ratio;
   context.validity_threshold = config.validity_threshold;
   context.execution = config.execution;
 
   std::unique_ptr<PruningAggregator> aggregator =
       MakePruningAggregator(config.pruning, chunks.size(), context);
-  ShardArena arena;
+  auto resident = [&](const ShardSlice& shard) {
+    return ResidentChunks{&chunks, shard.chunk_begin, shard.chunk_end,
+                          arena.pairs->data(), arena.probabilities.data()};
+  };
 
   // ---- Sweep 1: accumulate per-chunk aggregates, folding after each
   // shard — the identical fold sequence PruneWithAggregator performs. ----
   if (aggregator->needs_accumulation()) {
     ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, *model, lcp_ptr, &arena, &result);
+      score_if_sharded(shard);
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
       // Per-shard accumulate+fold latency feeds the fold-time histogram the
       // streaming bench reports percentiles from.
       GSMB_SPAN("shard.fold", "stream.shard.fold_us");
-      const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;
-      ParallelFor(shard_chunks, config.execution.num_threads,
-                  [&](size_t begin, size_t end) {
-                    std::unique_ptr<AggregatorScratch> scratch =
-                        aggregator->MakeScratch();
-                    for (size_t sc = begin; sc < end; ++sc) {
-                      const size_t c = shard.chunk_begin + sc;
-                      PairChunkView view;
-                      view.chunk_index = c;
-                      view.first_index = chunks[c].begin;
-                      view.pairs = arena.pairs.data() +
-                                   (chunks[c].begin - shard.first_index);
-                      view.probabilities =
-                          arena.probabilities.data() +
-                          (chunks[c].begin - shard.first_index);
-                      view.count = chunks[c].end - chunks[c].begin;
-                      aggregator->AccumulateChunk(view, scratch.get());
-                    }
-                  });
-      aggregator->FoldChunks(shard.chunk_begin, shard.chunk_end);
+      AccumulateChunks(resident(shard), threads, aggregator.get());
     }
     {
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
@@ -279,13 +299,20 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
     }
   }
 
-  // ---- Emit the retained set, ascending by global index. ----
+  // ---- Emit the retained set, ascending by global index, counting true
+  // positives by merging it with the ascending positive_indices. ----
+  const std::vector<uint64_t>& positives = dataset_.positive_indices;
+  size_t next_positive = 0;
   size_t retained_count = 0;
   size_t true_positives = 0;
   auto emit = [&](uint32_t idx, const CandidatePair& pair,
                   double probability) {
     ++retained_count;
-    if (dataset_.ground_truth.IsMatch(pair.left, pair.right)) {
+    while (next_positive < positives.size() &&
+           positives[next_positive] < idx) {
+      ++next_positive;
+    }
+    if (next_positive < positives.size() && positives[next_positive] == idx) {
       ++true_positives;
     }
     if (config.keep_retained) result.retained_indices.push_back(idx);
@@ -294,53 +321,28 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
 
   if (aggregator->emits_from_aggregates()) {
     // Cardinality kinds: the folded top-k structures already hold the
-    // retained indices and weights; only their pairs are regenerated.
+    // retained indices and weights; only their pairs are looked up.
     obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
     const std::vector<RetainedCandidate> retained =
         aggregator->TakeRetained();
-    PivotNeighbourGenerator generator(index);
-    std::vector<EntityId> neighbours;
-    size_t current_pivot = kNoPivot;
+    PairRegenerator regenerator(dataset_);
     for (const RetainedCandidate& candidate : retained) {
-      const size_t pivot = PivotOf(candidate.index);
-      if (pivot != current_pivot) {
-        generator.Generate(pivot, &neighbours);
-        current_pivot = pivot;
-      }
-      const CandidatePair pair{
-          static_cast<EntityId>(pivot),
-          neighbours[candidate.index - dataset_.pivot_offsets[pivot]]};
-      emit(candidate.index, pair, candidate.probability);
+      emit(candidate.index,
+           pairs_ != nullptr ? (*pairs_)[candidate.index]
+                             : regenerator.At(candidate.index),
+           candidate.probability);
     }
   } else {
-    // Weight-based kinds: a second sweep re-scores each shard and applies
-    // the finalized thresholds; per-chunk keeps merge in chunk order, so
-    // emission is ascending and equals the batch ChunkedRetain exactly.
+    // Weight-based kinds: the keep sweep applies the finalized thresholds,
+    // re-scoring each shard unless the single one is resident. Per-chunk
+    // keeps merge in chunk order, so emission is ascending.
     ++result.sweeps;
     for (const ShardSlice& shard : shards) {
-      FillArena(shard, config, *model, lcp_ptr, &arena, &result);
+      score_if_sharded(shard);
       obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      const size_t shard_chunks = shard.chunk_end - shard.chunk_begin;
-      std::vector<std::vector<uint32_t>> parts(shard_chunks);
-      ParallelFor(shard_chunks, config.execution.num_threads,
-                  [&](size_t begin, size_t end) {
-                    for (size_t sc = begin; sc < end; ++sc) {
-                      const size_t c = shard.chunk_begin + sc;
-                      for (size_t i = chunks[c].begin; i < chunks[c].end;
-                           ++i) {
-                        const size_t local = i - shard.first_index;
-                        if (aggregator->Keep(i, arena.pairs[local],
-                                             arena.probabilities[local])) {
-                          parts[sc].push_back(static_cast<uint32_t>(i));
-                        }
-                      }
-                    }
-                  });
-      for (const std::vector<uint32_t>& part : parts) {
-        for (uint32_t idx : part) {
-          const size_t local = idx - shard.first_index;
-          emit(idx, arena.pairs[local], arena.probabilities[local]);
-        }
+      for (uint32_t idx : KeepChunks(resident(shard), threads, *aggregator)) {
+        const size_t local = idx - shard.first_index;
+        emit(idx, (*arena.pairs)[local], arena.probabilities[local]);
       }
     }
   }

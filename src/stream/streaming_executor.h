@@ -1,51 +1,58 @@
-// StreamingExecutor: bounded-memory, out-of-core execution of the full
-// weight -> classify -> prune pipeline.
+// StreamingExecutor: the one execution core behind the Engine's batch and
+// streaming backends — the full weight -> classify -> prune pipeline over a
+// counting PreparedDataset (core/pipeline.h), in bounded memory.
 //
-// The batch path (RunMetaBlocking) holds the candidate set, the feature
-// matrix, and the probability vector in RAM at once — O(|C|) each, which
-// caps it well below the paper's X10 scalability series. The executor
-// runs off the same counting PreparedDataset (core/pipeline.h) but never
-// materialises its candidates: it slices the GLOBAL candidate order into
-// contiguous, chunk-aligned shards — located through the dataset's
-// pivot_offsets — and drains them one at a time through a reusable arena:
+// The executor slices the GLOBAL candidate order into contiguous,
+// chunk-aligned shards — located through the dataset's pivot_offsets — and
+// drains them one at a time through a reusable arena:
 //
-//   regenerate shard pairs -> features (core/features.cc, global index)
+//   shard pairs -> features (core/features.cc, global index)
 //   -> classify -> feed the shard's chunks to the pruning aggregator
 //   -> fold -> next shard
 //
-// Pruning algorithms that need global per-entity state (WEP's mean, WNP's
-// and BLAST's per-node aggregates) take a second sweep that re-scores each
-// shard and applies the finalized thresholds; BCl needs one sweep and the
-// cardinality kinds (CEP/CNP/RCNP) emit straight from their folded top-k
-// structures. Peak memory is O(largest shard + |E| + aggregates), never
-// O(|C|).
+// Shard pairs are regenerated pivot by pivot, unless the caller lends the
+// materialised candidate set (PreparedInputs::Pairs()); then they are read
+// from it. The batch backend is this executor at one shard over the lent
+// pairs; the streaming backend regenerates every shard, so its peak memory
+// is O(largest shard + |E| + aggregates), never O(|C|).
 //
-// Bit-identity. The retained set equals RunMetaBlocking's for EVERY shard
-// count and thread count, by construction rather than by luck:
-//   * shards are whole numbers of the same DeterministicChunks the batch
-//     pruners use, processed in ascending order, so per-chunk partials
-//     fold in exactly the batch fold order (floating-point addition is not
-//     associative — this ordering is the load-bearing invariant);
+// Pruning algorithms that need global per-entity state (WEP's mean, WNP's
+// and BLAST's per-node aggregates) take a second sweep that applies the
+// finalized thresholds. With several shards it re-scores each shard. A
+// single shard is scored once, after training, and its arena stays
+// resident for both sweeps. BCl needs one sweep and the cardinality kinds (CEP/CNP/RCNP) emit straight
+// from their folded top-k structures.
+//
+// Bit-identity. The retained set equals RunMetaBlocking's (the in-memory
+// reference of core/pipeline.h) for EVERY shard count and thread count, by
+// construction rather than by luck:
+//   * shards are whole numbers of the same DeterministicChunks the
+//     in-memory pruners use, processed in ascending order through the same
+//     AccumulateChunks/KeepChunks loops (core/pruning_aggregates.h), so
+//     per-chunk partials fold in exactly the in-memory fold order
+//     (floating-point addition is not associative — this ordering is the
+//     load-bearing invariant);
 //   * a feature row is a pure function of (pivot, neighbour) and the
-//     global EntityIndex, so per-shard extraction reproduces the batch
-//     matrix rows bit for bit (core/features.cc sweeps the pivot's blocks
-//     identically regardless of which rows are requested);
-//   * the trainer draws the batch path's balanced sample with the same
+//     global EntityIndex, so per-shard extraction reproduces the rows of
+//     the full matrix bit for bit (core/features.cc sweeps the pivot's
+//     blocks identically regardless of which rows are requested);
+//   * TrainFromSample draws RunMetaBlocking's balanced sample with the same
 //     SampleBalancedFromPlan call (ml/sampler.h) over the same
 //     positive_indices — same training rows, same row order — so the
 //     fitted model is identical.
 //
 // Deliberate departure from the serving layer (serve/session.h): serving
 // hash-shards TOKENS so a shard is refreshable in isolation; here shards
-// must replay the batch fold order, so they are contiguous chunk-aligned
-// slices of the candidate space instead. The shared discipline is the
-// bounded per-shard arena, not the hash.
+// must replay the in-memory fold order, so they are contiguous
+// chunk-aligned slices of the candidate space instead. The shared
+// discipline is the bounded per-shard arena, not the hash.
 
 #ifndef GSMB_STREAM_STREAMING_EXECUTOR_H_
 #define GSMB_STREAM_STREAMING_EXECUTOR_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "blocking/candidate_pairs.h"
@@ -61,6 +68,24 @@ namespace gsmb {
 inline constexpr uint64_t StreamingArenaBytesPerPair(size_t feature_dims) {
   return sizeof(CandidatePair) + 8ull * feature_dims + 8 + 8;
 }
+
+/// A classifier fitted on a configuration's balanced training sample.
+struct TrainedClassifier {
+  std::unique_ptr<ProbabilisticClassifier> model;
+  size_t training_size = 0;
+};
+
+/// The training stage of every pipeline over a counting preparation: draws
+/// RunMetaBlocking's balanced sample (SampleBalancedFromPlan with
+/// config.seed), regenerates only the sampled pairs, extracts their feature
+/// rows and fits config.classifier — the same model RunMetaBlocking fits,
+/// without touching any other candidate. `lcp` (optional) is the per-entity
+/// LCP of FeatureExtractor::ComputeLcpPerEntity, computed on demand when
+/// the feature set needs it and none is given. Throws std::runtime_error
+/// when the sample has fewer than two labelled pairs.
+TrainedClassifier TrainFromSample(const PreparedDataset& dataset,
+                                  const MetaBlockingConfig& config,
+                                  const std::vector<double>* lcp = nullptr);
 
 struct StreamingOptions {
   /// Number of contiguous, chunk-aligned slices of the candidate space.
@@ -80,9 +105,9 @@ struct StreamingResult {
   /// Phase-time breakdown from the telemetry clock (obs::ScopedPhase);
   /// the `*_seconds` fields below are views of it.
   obs::PhaseTimings phases;
-  /// RT components, seconds. `generate_seconds` (pair regeneration, a cost
-  /// the batch path pays during preparation instead) is included in
-  /// `total_seconds` so streaming-vs-batch wall-clock comparisons are fair.
+  /// RT components, seconds. `generate_seconds` (pair regeneration; 0 when
+  /// the pairs are lent) is included in `total_seconds` so regenerating
+  /// and lent-pair runs compare fairly on wall clock.
   double generate_seconds = 0.0;
   double feature_seconds = 0.0;
   double train_seconds = 0.0;
@@ -91,7 +116,7 @@ struct StreamingResult {
   double total_seconds = 0.0;
   size_t training_size = 0;
   /// Classifier coefficients in raw feature space, intercept last —
-  /// bit-identical to the batch path's.
+  /// bit-identical to RunMetaBlocking's.
   std::vector<double> model_coefficients;
   /// Populated only when config.keep_retained is set (it is O(retained)).
   std::vector<uint32_t> retained_indices;
@@ -105,15 +130,21 @@ struct StreamingResult {
 class StreamingExecutor {
  public:
   /// Receives every retained candidate in ascending global-index order:
-  /// its index in the batch candidate order, the pair, and the classifier
+  /// its index in the global candidate order, the pair, and the classifier
   /// probability that retained it. Runs on the calling thread.
   using RetainedSink =
       std::function<void(uint32_t index, const CandidatePair& pair,
                          double probability)>;
 
-  /// Throws std::invalid_argument when `options` is unusable (no shards
-  /// and no memory budget).
-  StreamingExecutor(const PreparedDataset& dataset, StreamingOptions options);
+  /// `pairs` (optional) lends the dataset's materialised candidate set,
+  /// GenerateCandidatePairs(*dataset.index), to a one-shard run (options
+  /// num_shards 1, no memory budget): the shard and the cardinality
+  /// survivors are then read from it instead of regenerated. It must
+  /// outlive the executor. Throws std::invalid_argument when `options` is
+  /// unusable (no shards and no memory budget), or when `pairs` is not the
+  /// dataset's candidate set or the options plan more than one shard.
+  StreamingExecutor(const PreparedDataset& dataset, StreamingOptions options,
+                    const std::vector<CandidatePair>* pairs = nullptr);
 
   /// Runs one configuration end to end. The retained set — and therefore
   /// metrics and coefficients — is bit-identical to
@@ -138,17 +169,16 @@ class StreamingExecutor {
 
   std::vector<ShardSlice> PlanShards(size_t num_chunks,
                                      size_t feature_dims) const;
-  /// Pivot owning global candidate index `index`.
-  size_t PivotOf(uint64_t index) const;
-  /// Regenerates pairs [shard.first_index, shard.end_index), extracts
-  /// features and classifies them into `arena`.
-  void FillArena(const ShardSlice& shard, const MetaBlockingConfig& config,
-                 const ProbabilisticClassifier& model,
-                 const std::vector<double>* lcp, ShardArena* arena,
-                 StreamingResult* timings) const;
+  /// Points the arena at pairs [shard.first_index, shard.end_index) (lent
+  /// or regenerated) and returns their feature rows.
+  Matrix ExtractShard(const ShardSlice& shard,
+                      const MetaBlockingConfig& config,
+                      const std::vector<double>* lcp, ShardArena* arena,
+                      StreamingResult* timings) const;
 
   const PreparedDataset& dataset_;
   StreamingOptions options_;
+  const std::vector<CandidatePair>* pairs_;
 };
 
 }  // namespace gsmb

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gsmb/job_spec.h"
+#include "gsmb/prepared.h"
 
 namespace gsmb {
 namespace {
@@ -274,6 +275,22 @@ TEST(EngineOpenSession, LiveSessionMatchesOneShotRun) {
   EXPECT_EQ(session->RetainedPairs().size(), one_shot.metrics.retained);
   EXPECT_EQ(session->Stats().num_shards, 4u);
   EXPECT_EQ(session->DirtyShardCount(), 0u);  // Refresh()ed on open
+}
+
+// The session's bootstrap trains from the balanced sample alone: opening
+// it must not materialise the cached handle's O(|C|) candidate pairs.
+TEST(EngineOpenSession, BootstrapNeverMaterialisesPairs) {
+  Engine engine;
+  JobSpec spec = ServingCompatibleSpec(PruningKind::kBlast);
+  spec.execution.mode = ExecutionMode::kServing;
+  Result<MetaBlockingSession> session = engine.OpenSession(spec);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_GT(session->RetainedPairs().size(), 0u);
+
+  Result<PreparedHandle> cached = engine.Prepare(spec);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(engine.prepare_cache_stats().hits, 1u);
+  EXPECT_FALSE((*cached)->pairs_materialized());
 }
 
 TEST(EngineOpenSession, RejectsUnsupportedSpecs) {

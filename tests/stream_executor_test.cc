@@ -1,13 +1,16 @@
 // Streaming-vs-batch equivalence: the StreamingExecutor must retain pairs
 // BIT-IDENTICAL to RunMetaBlocking for all 8 pruning kinds, at every
 // tested shard count x thread count, on both Clean-Clean and Dirty
-// fixtures. This is the load-bearing guarantee of stream/ — everything
-// else (memory bounds, sweeps, sinks) is checked afterwards. Both paths
-// read the same counting PreparedDataset, so its counting sweep is first
-// checked against a brute-force scan of the materialised candidates.
+// fixtures, whether it regenerates its shard pairs or reads them from a
+// lent candidate set (the batch backend's shape). This is the load-bearing
+// guarantee of stream/ — everything else (memory bounds, sweeps, sinks) is
+// checked afterwards. Both paths read the same counting PreparedDataset,
+// so its counting sweep is first checked against a brute-force scan of the
+// materialised candidates.
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "core/pipeline.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
+#include "gsmb/telemetry.h"
 #include "stream/streaming_executor.h"
 #include "test_support.h"
 
@@ -153,18 +157,31 @@ TEST(StreamExecutorTest, LcpFeaturesMatchBatch) {
 
 // A dataset large enough for dozens of chunks, so shard boundaries cut
 // through pivot groups many times (the truncated-group path).
+struct ManyChunkFixture {
+  PreparedDataset prep;
+  std::vector<CandidatePair> pairs;
+};
+
+const ManyChunkFixture& ManyChunkDirty() {
+  static const ManyChunkFixture* fixture = [] {
+    DirtySpec spec;
+    spec.name = "StreamD6K";
+    spec.num_entities = 6000;
+    spec.seed = 5;
+    GeneratedDirty data = DirtyGenerator().Generate(spec);
+    auto* built = new ManyChunkFixture;
+    built->prep =
+        PrepareDirty(spec.name, data.entities, std::move(data.ground_truth),
+                     BlockingOptions{.execution = {.num_threads = 4}});
+    built->pairs = GenerateCandidatePairs(*built->prep.index, 4);
+    return built;
+  }();
+  return *fixture;
+}
+
 TEST(StreamExecutorTest, ManyShardDirtyDatasetMatchesBatch) {
-  DirtySpec spec;
-  spec.name = "StreamD6K";
-  spec.num_entities = 6000;
-  spec.seed = 5;
-  GeneratedDirty data = DirtyGenerator().Generate(spec);
-  GroundTruth gt_copy = data.ground_truth;
-  const PreparedDataset prep =
-      PrepareDirty(spec.name, data.entities, std::move(gt_copy),
-                   BlockingOptions{.execution = {.num_threads = 4}});
-  const std::vector<CandidatePair> pairs =
-      GenerateCandidatePairs(*prep.index, 4);
+  const PreparedDataset& prep = ManyChunkDirty().prep;
+  const std::vector<CandidatePair>& pairs = ManyChunkDirty().pairs;
 
   for (PruningKind kind : {PruningKind::kBlast, PruningKind::kWep,
                            PruningKind::kCnp}) {
@@ -180,6 +197,59 @@ TEST(StreamExecutorTest, ManyShardDirtyDatasetMatchesBatch) {
       ExpectIdentical(batch, stream, kind, shards, 4);
     }
   }
+}
+
+// The batch backend's shape: the executor at one shard over the lent
+// candidate set. For every kind it must equal RunMetaBlocking and the
+// regenerating executor at 1 and 16 shards, and spend no time on pairs.
+void ExpectLentPairsMatch(const PreparedDataset& prep,
+                          const std::vector<CandidatePair>& pairs,
+                          size_t threads) {
+  SCOPED_TRACE(prep.name);
+  for (PruningKind kind : AllPruningKinds()) {
+    MetaBlockingConfig config = BaseConfig(kind);
+    config.execution.num_threads = threads;
+    const MetaBlockingResult batch = RunMetaBlocking(prep, pairs, config);
+    StreamingOptions one_shard;
+    one_shard.num_shards = 1;
+    const StreamingResult lent =
+        StreamingExecutor(prep, one_shard, &pairs).Run(config);
+    ExpectIdentical(batch, lent, kind, 1, threads);
+    EXPECT_EQ(lent.num_shards_used, 1u);
+    EXPECT_EQ(lent.phases.Get(obs::Phase::kPairs), 0.0);
+    EXPECT_EQ(lent.generate_seconds, 0.0);
+
+    for (size_t shards : {size_t{1}, size_t{16}}) {
+      StreamingOptions options;
+      options.num_shards = shards;
+      const StreamingResult regenerated =
+          StreamingExecutor(prep, options).Run(config);
+      ExpectIdentical(batch, regenerated, kind, shards, threads);
+      EXPECT_EQ(lent.retained_indices, regenerated.retained_indices);
+      EXPECT_EQ(lent.sweeps, regenerated.sweeps);
+    }
+  }
+}
+
+TEST(StreamExecutorTest, LentPairsMatchBatchAndRegeneratedShards) {
+  ExpectLentPairsMatch(MediumDataset(), MediumPairs(), 1);
+  ExpectLentPairsMatch(SmallDirtyDataset(), testing::SmallDirtyPairs(), 8);
+  ExpectLentPairsMatch(ManyChunkDirty().prep, ManyChunkDirty().pairs, 4);
+
+  StreamingOptions options;
+  options.num_shards = 16;
+  EXPECT_GT(StreamingExecutor(ManyChunkDirty().prep, options)
+                .Run(BaseConfig(PruningKind::kBCl))
+                .num_shards_used,
+            1u);
+  // Lent pairs are the whole candidate set, run as one shard.
+  EXPECT_THROW(StreamingExecutor(MediumDataset(), options, &MediumPairs()),
+               std::invalid_argument);
+  options.num_shards = 1;
+  const std::vector<CandidatePair> truncated(MediumPairs().begin(),
+                                             MediumPairs().end() - 1);
+  EXPECT_THROW(StreamingExecutor(MediumDataset(), options, &truncated),
+               std::invalid_argument);
 }
 
 TEST(StreamExecutorTest, MemoryBudgetDerivesShardCountAndBoundsArena) {
