@@ -7,10 +7,8 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "blocking/block_filtering.h"
-#include "blocking/block_purging.h"
-#include "blocking/token_blocking.h"
 #include "datasets/clean_clean_generator.h"
+#include "schemes/scheme_registry.h"
 
 int main() {
   using namespace gsmb;
@@ -21,26 +19,33 @@ int main() {
   for (const char* name : {"AbtBuy", "ImdbTmdb", "WalmartAmazon"}) {
     CleanCleanSpec spec = CleanCleanSpecByName(name, Scale());
     GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-    BlockCollection raw = TokenBlocking().Build(data.e1, data.e2);
+    JobInputs inputs;
+    inputs.e1 = std::move(data.e1);
+    inputs.e2 = std::move(data.e2);
+    inputs.ground_truth = std::move(data.ground_truth);
 
+    // Token Blocking under each preprocessing: a purge fraction or filter
+    // ratio of 1 switches that step off.
     struct Variant {
       const char* label;
-      BlockCollection blocks;
+      double purge_size_fraction;
+      double filter_ratio;
     };
-    std::vector<Variant> variants;
-    variants.push_back({"raw blocks", raw});
-    variants.push_back({"+ purging", BlockPurging().Apply(raw)});
-    variants.push_back({"+ filtering", BlockFiltering().Apply(raw)});
-    variants.push_back(
-        {"+ purging + filtering",
-         BlockFiltering().Apply(BlockPurging().Apply(raw))});
+    const BlockingSpec paper;
+    const std::vector<Variant> variants = {
+        {"raw blocks", 1.0, 1.0},
+        {"+ purging", paper.purge_size_fraction, 1.0},
+        {"+ filtering", 1.0, paper.filter_ratio},
+        {"+ purging + filtering", paper.purge_size_fraction,
+         paper.filter_ratio}};
 
     TablePrinter table({"Pipeline", "|C|", "Blocking Re", "BLAST Re",
                         "BLAST Pr", "BLAST F1"});
-    for (Variant& v : variants) {
-      GroundTruth gt = data.ground_truth;
-      PreparedDataset prep =
-          PrepareFromBlocks(name, std::move(v.blocks), std::move(gt));
+    for (const Variant& v : variants) {
+      BlockingSpec blocking = paper;
+      blocking.purge_size_fraction = v.purge_size_fraction;
+      blocking.filter_ratio = v.filter_ratio;
+      PreparedDataset prep = schemes::PrepareInputs(inputs, blocking, 1, name);
       MetaBlockingConfig config;
       config.features = FeatureSet::BlastOptimal();
       config.pruning = PruningKind::kBlast;

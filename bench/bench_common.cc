@@ -7,6 +7,7 @@
 #include "datasets/clean_clean_generator.h"
 #include "datasets/dirty_generator.h"
 #include "ml/sampler.h"
+#include "schemes/scheme_registry.h"
 
 namespace gsmb::bench {
 
@@ -33,8 +34,11 @@ void PrintBanner(const std::string& title, const std::string& paper_ref) {
 
 PreparedDataset PrepareSpec(const CleanCleanSpec& spec) {
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-  return PrepareCleanClean(spec.name, data.e1, data.e2,
-                           std::move(data.ground_truth));
+  JobInputs inputs;
+  inputs.e1 = std::move(data.e1);
+  inputs.e2 = std::move(data.e2);
+  inputs.ground_truth = std::move(data.ground_truth);
+  return schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name);
 }
 
 std::vector<PreparedDataset> PrepareAllCleanClean() {
@@ -51,8 +55,11 @@ PreparedDataset PrepareByName(const std::string& name) {
 
 PreparedDataset PrepareDirtySpec(const DirtySpec& spec) {
   GeneratedDirty data = DirtyGenerator().Generate(spec);
-  return PrepareDirty(spec.name, data.entities,
-                      std::move(data.ground_truth));
+  JobInputs inputs;
+  inputs.e1 = std::move(data.entities);
+  inputs.dirty = true;
+  inputs.ground_truth = std::move(data.ground_truth);
+  return schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name);
 }
 
 const Engine& SharedEngine() {

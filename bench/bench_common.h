@@ -28,8 +28,9 @@ size_t Seeds();
 /// what scale/repetitions it runs.
 void PrintBanner(const std::string& title, const std::string& paper_ref);
 
-/// Generates and prepares one Clean-Clean spec (Token Blocking -> Purging ->
-/// Filtering -> candidates), timing excluded from experiment RT.
+/// Generates and prepares one Clean-Clean spec through
+/// schemes::PrepareInputs with the paper's defaults (Token Blocking ->
+/// Purging -> Filtering -> candidates), timing excluded from experiment RT.
 PreparedDataset PrepareSpec(const CleanCleanSpec& spec);
 
 /// Prepares all nine paper datasets at the current scale.

@@ -8,11 +8,12 @@
 
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
-#include "blocking/token_blocking.h"
+#include "blocking/key_blocking.h"
 #include "core/pipeline.h"
 #include "datasets/clean_clean_generator.h"
 #include "datasets/specs.h"
 #include "ml/logistic_regression.h"
+#include "schemes/scheme_registry.h"
 #include "util/mem_stats.h"
 #include "util/random.h"
 
@@ -31,9 +32,12 @@ const GeneratedCleanClean& Data() {
 const PreparedDataset& Prepared() {
   static const PreparedDataset* prep = [] {
     const GeneratedCleanClean& d = Data();
-    GroundTruth gt = d.ground_truth;
+    JobInputs inputs;
+    inputs.e1 = d.e1;
+    inputs.e2 = d.e2;
+    inputs.ground_truth = d.ground_truth;
     return new PreparedDataset(
-        PrepareCleanClean("bench", d.e1, d.e2, std::move(gt)));
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, "bench"));
   }();
   return *prep;
 }
@@ -50,10 +54,16 @@ const std::vector<uint8_t>& Labels() {
   return *labels;
 }
 
+// The token scheme's key rule over the shared BuildKeyBlocksCleanClean.
+BlockCollection TokenBlocks(const GeneratedCleanClean& d) {
+  return BuildKeyBlocksCleanClean(
+      d.e1, d.e2, [](const EntityProfile& p) { return TokenKeys(p, 1); });
+}
+
 void BM_TokenBlocking(benchmark::State& state) {
   const GeneratedCleanClean& d = Data();
   for (auto _ : state) {
-    BlockCollection bc = TokenBlocking().Build(d.e1, d.e2);
+    BlockCollection bc = TokenBlocks(d);
     benchmark::DoNotOptimize(bc.size());
   }
 }
@@ -61,7 +71,7 @@ BENCHMARK(BM_TokenBlocking);
 
 void BM_PurgeAndFilter(benchmark::State& state) {
   const GeneratedCleanClean& d = Data();
-  BlockCollection raw = TokenBlocking().Build(d.e1, d.e2);
+  BlockCollection raw = TokenBlocks(d);
   for (auto _ : state) {
     BlockCollection out = BlockFiltering().Apply(BlockPurging().Apply(raw));
     benchmark::DoNotOptimize(out.size());

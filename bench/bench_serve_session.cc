@@ -23,6 +23,7 @@
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
 #include "gsmb/telemetry.h"
+#include "schemes/scheme_registry.h"
 #include "serve/session.h"
 #include "serve/serving_model.h"
 #include "util/stopwatch.h"
@@ -79,11 +80,16 @@ int main(int argc, char** argv) {
   std::printf("dataset %s: %zu profiles, %zu duplicate pairs\n",
               spec.name.c_str(), profiles.size(), data.ground_truth.size());
 
+  JobInputs labelled;
+  labelled.e1 = data.entities;
+  labelled.dirty = true;
+  labelled.ground_truth = data.ground_truth;
   ServingModelTraining training;
   training.train_per_class = 50;
   training.execution.num_threads = threads;
-  const ServingModel model = TrainServingModel(
-      data.entities, data.ground_truth, FeatureSet::BlastOptimal(), training);
+  const ServingModel model = TrainServingModelFromPrepared(
+      schemes::PrepareInputs(labelled, BlockingSpec{}, threads, "bootstrap"),
+      FeatureSet::BlastOptimal(), training);
 
   SessionOptions options;
   options.num_shards = num_shards;

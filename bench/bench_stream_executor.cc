@@ -29,6 +29,7 @@
 #include "datasets/specs.h"
 #include "gsmb/digest.h"
 #include "gsmb/telemetry.h"
+#include "schemes/scheme_registry.h"
 #include "stream/streaming_executor.h"
 #include "util/mem_stats.h"
 #include "util/stopwatch.h"
@@ -45,12 +46,17 @@ size_t EnvSize(const char* name, size_t fallback) {
   return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
 }
 
-GeneratedDirty MakeDataset() {
+JobInputs MakeInputs() {
   DirtySpec spec;
   spec.name = "StreamBench";
   spec.num_entities = EnvSize("GSMB_STREAM_ENTITIES", 20000);
   spec.seed = 17;
-  return DirtyGenerator().Generate(spec);
+  GeneratedDirty data = DirtyGenerator().Generate(spec);
+  JobInputs inputs;
+  inputs.e1 = std::move(data.entities);
+  inputs.dirty = true;
+  inputs.ground_truth = std::move(data.ground_truth);
+  return inputs;
 }
 
 MetaBlockingConfig BenchConfig() {
@@ -90,23 +96,21 @@ double PropDouble(const Props& props, const std::string& key) {
 // ---- child: one measured pipeline in a fresh process ----------------------
 
 int RunChild(const std::string& mode, const std::string& props_path) {
-  const GeneratedDirty data = MakeDataset();
+  const JobInputs inputs = MakeInputs();
   const MetaBlockingConfig config = BenchConfig();
-  BlockingOptions blocking;
-  blocking.execution.num_threads = config.execution.num_threads;
+  const size_t threads = config.execution.num_threads;
 
   Props props;
   props["mode"] = mode;
-  props["entities"] = std::to_string(data.entities.size());
+  props["entities"] = std::to_string(inputs.e1.size());
 
   Stopwatch total;
   if (mode == "batch") {
     Stopwatch watch;
-    GroundTruth gt = data.ground_truth;
     const PreparedDataset prep =
-        PrepareDirty("bench", data.entities, std::move(gt), blocking);
-    const std::vector<CandidatePair> pairs = GenerateCandidatePairs(
-        *prep.index, blocking.execution.num_threads);
+        schemes::PrepareInputs(inputs, BlockingSpec{}, threads, "bench");
+    const std::vector<CandidatePair> pairs =
+        GenerateCandidatePairs(*prep.index, threads);
     props["prep_ms"] = std::to_string(watch.ElapsedMillis());
     MetaBlockingConfig digest_config = config;
     digest_config.keep_retained = true;
@@ -117,17 +121,16 @@ int RunChild(const std::string& mode, const std::string& props_path) {
     obs::PairSetDigest digest;
     for (uint32_t index : result.retained_indices) {
       const CandidatePair& pair = pairs[index];
-      digest.AddPair(data.entities[pair.left].external_id(),
-                     data.entities[pair.right].external_id());
+      digest.AddPair(inputs.e1[pair.left].external_id(),
+                     inputs.e1[pair.right].external_id());
     }
     props["pairs"] = std::to_string(pairs.size());
     props["retained"] = std::to_string(result.metrics.retained);
     props["retained_digest"] = digest.Hex();
   } else {
     Stopwatch watch;
-    GroundTruth gt = data.ground_truth;
     const PreparedDataset prep =
-        PrepareDirty("bench", data.entities, std::move(gt), blocking);
+        schemes::PrepareInputs(inputs, BlockingSpec{}, threads, "bench");
     props["prep_ms"] = std::to_string(watch.ElapsedMillis());
     StreamingOptions options;
     options.num_shards = EnvSize("GSMB_STREAM_SHARDS", 64);
@@ -138,8 +141,8 @@ int RunChild(const std::string& mode, const std::string& props_path) {
     obs::PairSetDigest digest;
     const StreamingExecutor::RetainedSink retained_sink =
         [&](uint32_t, const CandidatePair& pair, double) {
-          digest.AddPair(data.entities[pair.left].external_id(),
-                         data.entities[pair.right].external_id());
+          digest.AddPair(inputs.e1[pair.left].external_id(),
+                         inputs.e1[pair.right].external_id());
         };
     watch.Restart();
     const StreamingResult result =

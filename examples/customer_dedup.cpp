@@ -16,6 +16,7 @@
 
 #include "core/pipeline.h"
 #include "er/entity_collection.h"
+#include "schemes/scheme_registry.h"
 #include "util/random.h"
 
 namespace {
@@ -99,7 +100,12 @@ int main() {
               customers.size(), gt.size());
 
   // ---- Blocking + meta-blocking. ----
-  PreparedDataset prep = PrepareDirty("customers", customers, std::move(gt));
+  JobInputs inputs;
+  inputs.e1 = std::move(customers);
+  inputs.dirty = true;
+  inputs.ground_truth = std::move(gt);
+  PreparedDataset prep =
+      schemes::PrepareInputs(inputs, BlockingSpec{}, 1, "customers");
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Token Blocking: %zu blocks -> %zu candidate pairs "
               "(recall %.3f, precision %.4f)\n",

@@ -14,6 +14,7 @@
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
 #include "matching/matcher.h"
+#include "schemes/scheme_registry.h"
 
 int main() {
   using namespace gsmb;
@@ -27,9 +28,12 @@ int main() {
   std::printf("Collection: %zu profiles, %zu duplicate pairs\n",
               data.entities.size(), data.ground_truth.size());
 
-  GroundTruth gt = data.ground_truth;  // keep a copy for matching eval
+  JobInputs inputs;
+  inputs.e1 = data.entities;
+  inputs.dirty = true;
+  inputs.ground_truth = data.ground_truth;
   PreparedDataset prep =
-      PrepareDirty(spec.name, data.entities, std::move(gt));
+      schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name);
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf(
       "\nStage 1 — blocking:       %8zu pairs   Re %.3f  Pr %.5f  F1 %.5f\n",

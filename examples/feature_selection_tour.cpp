@@ -15,6 +15,7 @@
 #include "datasets/clean_clean_generator.h"
 #include "datasets/specs.h"
 #include "eval/metrics.h"
+#include "schemes/scheme_registry.h"
 #include "util/stopwatch.h"
 
 int main() {
@@ -22,8 +23,12 @@ int main() {
 
   CleanCleanSpec spec = CleanCleanSpecByName("DblpAcm", /*scale=*/0.25);
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-  PreparedDataset prep = PrepareCleanClean(
-      spec.name, data.e1, data.e2, std::move(data.ground_truth));
+  JobInputs inputs;
+  inputs.e1 = std::move(data.e1);
+  inputs.e2 = std::move(data.e2);
+  inputs.ground_truth = std::move(data.ground_truth);
+  PreparedDataset prep =
+      schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name);
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Dataset %s: %zu candidate pairs\n\n", prep.name.c_str(),
               pairs.size());

@@ -15,6 +15,7 @@
 #include "datasets/clean_clean_generator.h"
 #include "datasets/io.h"
 #include "datasets/specs.h"
+#include "schemes/scheme_registry.h"
 
 int main(int argc, char** argv) {
   using namespace gsmb;
@@ -35,13 +36,16 @@ int main(int argc, char** argv) {
               data.e2.size(), gt_path.c_str(), data.ground_truth.size());
 
   // ---- 2. Load — exactly what you would do with your own files. ----
-  EntityCollection catalogue_a = LoadCollectionCsv(e1_path, "catalogue-a");
-  EntityCollection catalogue_b = LoadCollectionCsv(e2_path, "catalogue-b");
-  GroundTruth matches =
-      LoadGroundTruthCsv(gt_path, catalogue_a, catalogue_b, /*dirty=*/false);
+  JobInputs inputs;
+  inputs.e1 = LoadCollectionCsv(e1_path, "catalogue-a");
+  inputs.e2 = LoadCollectionCsv(e2_path, "catalogue-b");
+  inputs.ground_truth =
+      LoadGroundTruthCsv(gt_path, inputs.e1, inputs.e2, /*dirty=*/false);
 
-  PreparedDataset prep = PrepareCleanClean("products", catalogue_a,
-                                           catalogue_b, std::move(matches));
+  // The paper's preprocessing: Token Blocking, Block Purging, Block
+  // Filtering (BlockingSpec's defaults).
+  PreparedDataset prep =
+      schemes::PrepareInputs(inputs, BlockingSpec{}, 1, "products");
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Blocking: %zu candidate pairs, recall %.3f, precision "
               "%.5f\n\n",

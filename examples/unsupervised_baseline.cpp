@@ -9,11 +9,11 @@
 
 #include <cstdio>
 
-#include "blocking/token_blocking.h"
 #include "core/pipeline.h"
 #include "core/unsupervised.h"
 #include "datasets/clean_clean_generator.h"
 #include "datasets/specs.h"
+#include "schemes/scheme_registry.h"
 
 namespace {
 
@@ -34,14 +34,21 @@ void PaperRunningExample() {
   add("e6", "Samsung Fold foldable mate phone");
   add("e7", "Samsung foldable mate phone 20 fold");
 
-  GroundTruth gt(/*dirty=*/true);
-  gt.AddMatch(0, 2);  // e1 = e3
-  gt.AddMatch(1, 3);  // e2 = e4
-  gt.AddMatch(5, 6);  // e6 = e7
+  JobInputs inputs;
+  inputs.e1 = phones;
+  inputs.dirty = true;
+  inputs.ground_truth = GroundTruth(/*dirty=*/true);
+  inputs.ground_truth.AddMatch(0, 2);  // e1 = e3
+  inputs.ground_truth.AddMatch(1, 3);  // e2 = e4
+  inputs.ground_truth.AddMatch(5, 6);  // e6 = e7
 
-  BlockCollection blocks = TokenBlocking().Build(phones);
-  PreparedDataset prep = PrepareFromBlocks("figure-1", std::move(blocks),
-                                           std::move(gt));
+  // Figure 1's raw Token Blocking blocks: a purge fraction and filter
+  // ratio of 1 switch both preprocessing steps off.
+  BlockingSpec raw_tokens;
+  raw_tokens.purge_size_fraction = 1.0;
+  raw_tokens.filter_ratio = 1.0;
+  PreparedDataset prep =
+      schemes::PrepareInputs(inputs, raw_tokens, 1, "figure-1");
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("Figure 1 example: %zu blocks, %zu candidate pairs\n",
               prep.blocks.size(), pairs.size());
@@ -70,8 +77,12 @@ int main() {
   // ---- Supervised vs unsupervised on a realistic dataset. ----
   CleanCleanSpec spec = CleanCleanSpecByName("ImdbTmdb", /*scale=*/0.125);
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-  PreparedDataset prep = PrepareCleanClean(
-      spec.name, data.e1, data.e2, std::move(data.ground_truth));
+  JobInputs inputs;
+  inputs.e1 = std::move(data.e1);
+  inputs.e2 = std::move(data.e2);
+  inputs.ground_truth = std::move(data.ground_truth);
+  PreparedDataset prep =
+      schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name);
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(*prep.index);
   std::printf("\n%s: %zu candidate pairs, blocking recall %.3f\n",
               prep.name.c_str(), pairs.size(),

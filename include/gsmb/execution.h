@@ -1,15 +1,14 @@
 // ExecutionOptions: the one place execution knobs live.
 //
-// Before the facade, the worker-thread count was plumbed three times in
-// parallel — BlockingOptions::num_threads, MetaBlockingConfig::num_threads
-// and PruningContext::num_threads (plus serving/streaming copies) — and
-// every caller had to remember to set all of them to the same value. The
-// structs now embed one shared ExecutionOptions, and the Engine threads a
-// single instance from the JobSpec through every layer.
+// The structs that configure a pipeline stage — MetaBlockingConfig,
+// PruningContext, SessionOptions and ServingModelTraining — embed one shared
+// ExecutionOptions, and the Engine threads a single instance from the
+// JobSpec through every layer. Preparation (schemes::PrepareInputs) takes
+// the same worker-thread count as a plain argument.
 //
-// Invariant carried over from the per-struct fields: execution options
-// never change results. Every parallel path in the library is bit-identical
-// to its serial counterpart for any thread count.
+// Invariant: execution options never change results. Every parallel path
+// in the library is bit-identical to its serial counterpart for any thread
+// count.
 
 #ifndef GSMB_API_EXECUTION_H_
 #define GSMB_API_EXECUTION_H_

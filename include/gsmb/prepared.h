@@ -78,9 +78,8 @@ class PreparedInputs {
   /// PrepareCacheKey(spec) of the spec this was prepared from.
   std::string cache_key;
   /// Wall-clock cost of the preparation (load + block + count), seconds.
-  /// Feeds JobResult::blocking_seconds through api::ApplyPhaseTimings —
-  /// the single-source writer of every backend's timing fields — as the
-  /// one-off cost of the handle, not of the call.
+  /// The one-off cost of the handle, not of a call: ClaimPrepareSeconds()
+  /// hands it to the first run only.
   double prepare_seconds = 0.0;
   /// Content fingerprint of the loaded dataset (obs::DatasetFingerprint):
   /// profiles + ground truth, independent of how they were loaded.
@@ -103,6 +102,17 @@ class PreparedInputs {
   const std::vector<CandidatePair>& Pairs(
       size_t num_threads, double* materialize_seconds = nullptr) const;
 
+  /// `prepare_seconds` on the first call, 0 on every later one
+  /// (thread-safe). Backends pass it to api::ApplyPhaseTimings, so a
+  /// handle's preparation lands in the JobResult::blocking_seconds of the
+  /// first run executed against it and never in a prepare-cache hit's —
+  /// the same charge-once rule Pairs() applies to materialisation.
+  double ClaimPrepareSeconds() const {
+    return prepare_claimed_.exchange(true, std::memory_order_acq_rel)
+               ? 0.0
+               : prepare_seconds;
+  }
+
   /// True once Pairs() has materialised the O(|C|) candidate set.
   bool pairs_materialized() const {
     return pairs_ready_.load(std::memory_order_acquire);
@@ -117,6 +127,7 @@ class PreparedInputs {
   mutable std::once_flag pairs_once_;
   mutable std::vector<CandidatePair> pairs_;
   mutable std::atomic<bool> pairs_ready_{false};
+  mutable std::atomic<bool> prepare_claimed_{false};
 };
 
 /// How Prepare hands out preparations: shared and immutable. A handle keeps

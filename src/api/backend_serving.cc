@@ -109,9 +109,10 @@ Result<JobResult> RunServingOn(const JobSpec& spec,
   result.shards_used = stats.num_shards;
   result.model_coefficients = session->model().weights;
   result.model_coefficients.push_back(session->model().intercept);
-  // The handle's one-off preparation cost is the prepare phase; the
-  // session's own refresh re-block lands in kBlocking as before.
-  ApplyPhaseTimings(phases, prepared.prepare_seconds, &result);
+  // The handle's one-off preparation cost is the prepare phase of the
+  // first run against it; the session's own refresh re-block lands in
+  // kBlocking.
+  ApplyPhaseTimings(phases, prepared.ClaimPrepareSeconds(), &result);
 
   // Provenance: the cold build trains from the prepared handle, so it
   // carries the handle's fingerprint and digest exactly like batch and

@@ -89,7 +89,7 @@ Result<JobResult> RunExecutorOn(const JobSpec& spec,
   result.training_size = run.training_size;
   result.model_coefficients = run.model_coefficients;
   run.phases.Add(obs::Phase::kPairs, materialize_seconds);
-  ApplyPhaseTimings(run.phases, prepared.prepare_seconds, &result);
+  ApplyPhaseTimings(run.phases, prepared.ClaimPrepareSeconds(), &result);
   result.shards_used = run.num_shards_used;
   result.sweeps = run.sweeps;
 

@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "blocking/block_collection.h"
 #include "core/pipeline.h"
 #include "er/entity_collection.h"
 #include "er/ground_truth.h"
@@ -27,19 +26,21 @@
 
 namespace gsmb::api {
 
+/// Loads one profile CSV: NotFound when `path` does not exist,
+/// InvalidArgument when it parses to zero profiles. `role` names the input
+/// in both diagnostics (e.g. "dataset.e1").
+Result<EntityCollection> LoadProfilesChecked(const std::string& path,
+                                             const std::string& role);
+
 /// Loads CSV files or generates the named synthetic dataset. Missing paths
 /// and empty parses are NotFound/InvalidArgument with the offending path.
 Result<JobInputs> LoadJobInputs(const JobSpec& spec);
 
-/// Builds the spec's blocking scheme over the inputs and applies Block
-/// Purging + Block Filtering with the spec's parameters — the exact
-/// preprocessing every backend's implied candidate set derives from.
-BlockCollection BuildPreprocessedBlocks(const JobSpec& spec,
-                                        const JobInputs& inputs);
-
-/// The full preparation stage: load inputs, build + preprocess blocks, run
-/// the counting preparation. Everything Engine::Prepare caches; also the
-/// uncached path behind each backend's legacy Execute(spec).
+/// The full preparation stage: load inputs, then schemes::PrepareInputs
+/// (the spec's scheme, purging/filtering, the counting preparation) — the
+/// exact preprocessing every backend's implied candidate set derives
+/// from. Everything Engine::Prepare caches; also the uncached path behind
+/// each backend's legacy Execute(spec).
 Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec);
 
 /// spec.execution.options with threads == 0 resolved to the hardware count.
@@ -61,9 +62,10 @@ Status FinishRetainedCsv(std::ofstream& out, const std::string& path);
 
 /// The one place JobResult timing fields are written. Every backend runs
 /// its pipeline against an obs::PhaseTimings (the telemetry clock) and
-/// finishes through here: `prepare_seconds` is the prepared handle's
-/// one-off cost (plus any in-run re-blocking the backend put in
-/// Phase::kBlocking), the phase array fills the `*_seconds` breakdown,
+/// finishes through here: `prepare_seconds` is the handle's one-off cost
+/// as PreparedInputs::ClaimPrepareSeconds() returns it (non-zero for the
+/// first run against the handle only), added to any in-run re-blocking in
+/// Phase::kBlocking; the phase array fills the `*_seconds` breakdown,
 /// and the per-run metric snapshot (result->telemetry) is derived from
 /// the result's own counters — so all three backends report the same
 /// canonical phase set from the same clock.

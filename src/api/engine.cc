@@ -27,8 +27,6 @@ namespace gsmb {
 
 namespace api {
 
-namespace {
-
 Result<EntityCollection> LoadProfilesChecked(const std::string& path,
                                              const std::string& role) {
   if (!std::filesystem::exists(path)) {
@@ -41,6 +39,8 @@ Result<EntityCollection> LoadProfilesChecked(const std::string& path,
   }
   return collection;
 }
+
+namespace {
 
 Result<JobInputs> LoadCsvInputs(const JobSpec& spec) {
   JobInputs inputs;
@@ -116,14 +116,11 @@ Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec) {
     prepared->inputs = std::move(*inputs);
     Stopwatch watch;
     {
+      // PrepareInputs opens the nested "blocking" span.
       GSMB_SPAN("prepare");
-      BlockCollection blocks = [&] {
-        GSMB_SPAN("blocking");
-        return BuildPreprocessedBlocks(spec, prepared->inputs);
-      }();
-      prepared->dataset = PrepareFromBlocks(
-          "job", std::move(blocks), prepared->inputs.ground_truth,
-          ResolvedExecution(spec).num_threads);
+      prepared->dataset = schemes::PrepareInputs(
+          prepared->inputs, spec.blocking,
+          ResolvedExecution(spec).num_threads, "job");
     }
     prepared->prepare_seconds = watch.ElapsedSeconds();
     prepared->cache_key = PrepareCacheKey(spec);
@@ -145,24 +142,6 @@ Result<PreparedHandle> BuildPreparedInputs(const JobSpec& spec) {
   } catch (const std::exception& e) {
     return Status::Internal(std::string("preparation failed: ") + e.what());
   }
-}
-
-BlockCollection BuildPreprocessedBlocks(const JobSpec& spec,
-                                        const JobInputs& inputs) {
-  const size_t threads = ResolvedExecution(spec).num_threads;
-  // Every engine path validates the spec before preparing, so the lookup
-  // cannot miss; the throw converts to a Status in BuildPreparedInputs.
-  const schemes::Blocker* blocker =
-      schemes::FindBlocker(spec.blocking.scheme);
-  if (blocker == nullptr) {
-    throw std::runtime_error("blocking scheme '" + spec.blocking.scheme +
-                             "' is not registered");
-  }
-  BlockCollection raw = blocker->Build(inputs, spec.blocking, threads);
-  BlockingOptions options;
-  options.purge_size_fraction = spec.blocking.purge_size_fraction;
-  options.filter_ratio = spec.blocking.filter_ratio;
-  return PreprocessBlocks(std::move(raw), options);
 }
 
 ExecutionOptions ResolvedExecution(const JobSpec& spec) {

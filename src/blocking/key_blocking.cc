@@ -1,8 +1,11 @@
 #include "blocking/key_blocking.h"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <utility>
 
+#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace gsmb {
@@ -59,7 +62,45 @@ void Accumulate(const EntityCollection& collection, bool into_left,
   }
 }
 
+// The distinct, sorted union of `derive(token)` over the value tokens.
+template <typename Derive>
+std::vector<std::string> TokenDerivedKeys(const EntityProfile& profile,
+                                          Derive derive) {
+  std::vector<std::string> keys;
+  for (const std::string& token : profile.DistinctValueTokens()) {
+    std::vector<std::string> derived = derive(token);
+    keys.insert(keys.end(), std::make_move_iterator(derived.begin()),
+                std::make_move_iterator(derived.end()));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
 }  // namespace
+
+std::vector<std::string> TokenKeys(const EntityProfile& profile,
+                                   size_t min_token_length) {
+  std::vector<std::string> tokens = profile.DistinctValueTokens();
+  if (min_token_length > 1) {
+    std::erase_if(tokens, [min_token_length](const std::string& t) {
+      return t.size() < min_token_length;
+    });
+  }
+  return tokens;
+}
+
+std::vector<std::string> QGramKeys(const EntityProfile& profile, size_t q) {
+  return TokenDerivedKeys(
+      profile, [q](const std::string& token) { return QGrams(token, q); });
+}
+
+std::vector<std::string> SuffixKeys(const EntityProfile& profile,
+                                    size_t min_length) {
+  return TokenDerivedKeys(profile, [min_length](const std::string& token) {
+    return Suffixes(token, min_length);
+  });
+}
 
 BlockCollection BuildKeyBlocksCleanClean(const EntityCollection& e1,
                                          const EntityCollection& e2,

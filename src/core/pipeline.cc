@@ -5,7 +5,6 @@
 
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
-#include "blocking/token_blocking.h"
 #include "gsmb/telemetry.h"
 #include "ml/sampler.h"
 #include "util/random.h"
@@ -26,39 +25,10 @@ struct LocalPositive {
 }  // namespace
 
 BlockCollection PreprocessBlocks(BlockCollection raw,
-                                 const BlockingOptions& options) {
-  BlockPurging purging(options.purge_size_fraction);
-  BlockFiltering filtering(options.filter_ratio);
-  return filtering.Apply(purging.Apply(raw));
-}
-
-PreparedDataset PrepareCleanClean(const std::string& name,
-                                  const EntityCollection& e1,
-                                  const EntityCollection& e2,
-                                  GroundTruth ground_truth,
-                                  const BlockingOptions& options) {
-  if (ground_truth.dirty()) {
-    throw std::invalid_argument(
-        "PrepareCleanClean: ground truth has Dirty-ER semantics");
-  }
-  BlockCollection raw = TokenBlocking(options.min_token_length)
-      .Build(e1, e2, options.execution.num_threads);
-  return PrepareFromBlocks(name, PreprocessBlocks(std::move(raw), options),
-                           std::move(ground_truth), options.execution.num_threads);
-}
-
-PreparedDataset PrepareDirty(const std::string& name,
-                             const EntityCollection& e,
-                             GroundTruth ground_truth,
-                             const BlockingOptions& options) {
-  if (!ground_truth.dirty()) {
-    throw std::invalid_argument(
-        "PrepareDirty: ground truth has Clean-Clean semantics");
-  }
-  BlockCollection raw = TokenBlocking(options.min_token_length)
-      .Build(e, options.execution.num_threads);
-  return PrepareFromBlocks(name, PreprocessBlocks(std::move(raw), options),
-                           std::move(ground_truth), options.execution.num_threads);
+                                 double purge_size_fraction,
+                                 double filter_ratio) {
+  return BlockFiltering(filter_ratio)
+      .Apply(BlockPurging(purge_size_fraction).Apply(raw));
 }
 
 PreparedDataset PrepareFromBlocks(const std::string& name,

@@ -1,18 +1,21 @@
 // End-to-end (Generalized) Supervised Meta-blocking pipeline.
 //
-// Prepare*() performs the fixed, per-dataset preprocessing of the paper's
-// Section 5.1: Token Blocking -> Block Purging -> Block Filtering (0.8) ->
-// one counting sweep over the candidate space, which records the
+// A dataset is prepared once with the fixed preprocessing of the paper's
+// Section 5.1 — a blocking scheme -> Block Purging -> Block Filtering (0.8)
+// -> one counting sweep over the candidate space, which records the
 // blocking-quality numbers of Table 2 without storing the candidates.
-// RunMetaBlocking() then executes one experiment configuration over the
-// materialised candidate set (GenerateCandidatePairs(*prep.index)): extract
-// features, sample a balanced training set, train the probabilistic
-// classifier, weight all candidate pairs, prune, and evaluate — reporting
-// the paper's measures (recall, precision, F1) and the run-time breakdown
-// that makes up RT. It is the in-memory reference the paper harnesses
-// (eval/experiment) run and the executor tests compare against; the
-// Engine's batch and streaming backends run the same configuration through
-// the StreamingExecutor (stream/) off the same preparation, bit-identically.
+// schemes::PrepareInputs (schemes/scheme_registry.h) is the one front door
+// for that; it ends in PrepareFromBlocks below, which custom-block callers
+// and prepared-snapshot loads share. RunMetaBlocking() then executes one
+// experiment configuration over the materialised candidate set
+// (GenerateCandidatePairs(*prep.index)): extract features, sample a
+// balanced training set, train the probabilistic classifier, weight all
+// candidate pairs, prune, and evaluate — reporting the paper's measures
+// (recall, precision, F1) and the run-time breakdown that makes up RT. It
+// is the in-memory reference the paper harnesses (eval/experiment) run and
+// the executor tests compare against; the Engine's batch and streaming
+// backends run the same configuration through the StreamingExecutor
+// (stream/) off the same preparation, bit-identically.
 
 #ifndef GSMB_CORE_PIPELINE_H_
 #define GSMB_CORE_PIPELINE_H_
@@ -38,22 +41,6 @@
 #include "util/matrix.h"
 
 namespace gsmb {
-
-/// Preprocessing knobs (paper defaults).
-struct BlockingOptions {
-  /// Minimum token length used as a Token Blocking key (the serving layer
-  /// shares this knob, so every backend tokenizes identically).
-  size_t min_token_length = 1;
-  /// Block Purging: drop blocks with more than this fraction of all
-  /// profiles (parameter-free setting: one half).
-  double purge_size_fraction = 0.5;
-  /// Block Filtering: fraction of its smallest blocks each entity keeps.
-  double filter_ratio = 0.8;
-  /// Shared execution knobs (worker threads for blocking and candidate-pair
-  /// generation). Results are bit-identical to the serial path for any
-  /// thread count.
-  ExecutionOptions execution;
-};
 
 /// A dataset after blocking: everything the experiments reuse across
 /// configurations. Movable, not copyable (owns the entity index).
@@ -93,30 +80,19 @@ struct PreparedDataset {
   }
 };
 
-/// The fixed preprocessing of every preparation path: Block Purging then
-/// Block Filtering with the options' parameters. The Engine's preparation
-/// (api/engine.cc) applies it to the blocks of every registered scheme.
+/// The fixed preprocessing of every preparation: Block Purging (drop blocks
+/// with more than `purge_size_fraction` of all profiles) then Block
+/// Filtering (each entity keeps the `filter_ratio` fraction of its smallest
+/// blocks). schemes::PrepareInputs applies it to the blocks of every
+/// registered scheme.
 BlockCollection PreprocessBlocks(BlockCollection raw,
-                                 const BlockingOptions& options);
+                                 double purge_size_fraction,
+                                 double filter_ratio);
 
-/// Clean-Clean ER preparation (Token Blocking over two clean collections).
-PreparedDataset PrepareCleanClean(const std::string& name,
-                                  const EntityCollection& e1,
-                                  const EntityCollection& e2,
-                                  GroundTruth ground_truth,
-                                  const BlockingOptions& options = {});
-
-/// Dirty ER preparation (Token Blocking over one collection).
-PreparedDataset PrepareDirty(const std::string& name,
-                             const EntityCollection& e,
-                             GroundTruth ground_truth,
-                             const BlockingOptions& options = {});
-
-/// As above, but starting from an existing block collection (any
-/// redundancy-positive blocking method; purging/filtering already applied
-/// or intentionally skipped by the caller). The one finisher every
-/// preparation goes through: index, block stats and the counting sweep,
-/// bit-identical for any `num_threads`.
+/// The one finisher every preparation goes through, starting from a block
+/// collection (any redundancy-positive blocking method; purging/filtering
+/// already applied or intentionally skipped by the caller): index, block
+/// stats and the counting sweep, bit-identical for any `num_threads`.
 PreparedDataset PrepareFromBlocks(const std::string& name,
                                   BlockCollection blocks,
                                   GroundTruth ground_truth,

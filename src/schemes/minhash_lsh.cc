@@ -116,14 +116,13 @@ Status MinHashLshBlocker::ValidateParams(const BlockingSpec& blocking) const {
 BlockCollection MinHashLshBlocker::Build(const JobInputs& inputs,
                                          const BlockingSpec& blocking,
                                          size_t num_threads) const {
-  const KeyFunction keys = BucketKeys(
-      MakeHashFamily(blocking.minhash_seed,
-                     blocking.lsh_bands * blocking.lsh_rows),
-      blocking.lsh_bands, blocking.lsh_rows, blocking.min_token_length);
-  if (inputs.dirty) {
-    return BuildKeyBlocksDirty(inputs.e1, keys, num_threads);
-  }
-  return BuildKeyBlocksCleanClean(inputs.e1, inputs.e2, keys, num_threads);
+  return BuildKeyBlocks(
+      inputs,
+      BucketKeys(MakeHashFamily(blocking.minhash_seed,
+                                blocking.lsh_bands * blocking.lsh_rows),
+                 blocking.lsh_bands, blocking.lsh_rows,
+                 blocking.min_token_length),
+      num_threads);
 }
 
 }  // namespace gsmb::schemes

@@ -2,12 +2,11 @@
 
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 
-#include "blocking/qgram_blocking.h"
-#include "blocking/suffix_blocking.h"
-#include "blocking/token_blocking.h"
 #include "gsmb/job_spec.h"
+#include "gsmb/telemetry.h"
 #include "schemes/attribute_clustering.h"
 #include "schemes/minhash_lsh.h"
 #include "schemes/sorted_neighborhood.h"
@@ -17,9 +16,9 @@ namespace gsmb::schemes {
 
 namespace {
 
-// -- Adapters over the legacy key-blocking family ---------------------------
-// token/qgram/suffix predate the registry; these adapters give them the
-// same Blocker surface as the new schemes without touching src/blocking.
+// -- The key-rule schemes ----------------------------------------------------
+// token, qgram and suffix: one key rule each (blocking/key_blocking.h) over
+// the shared BuildKeyBlocks* functions.
 
 class TokenBlocker : public Blocker {
  public:
@@ -35,9 +34,13 @@ class TokenBlocker : public Blocker {
   }
   BlockCollection Build(const JobInputs& inputs, const BlockingSpec& blocking,
                         size_t num_threads) const override {
-    const TokenBlocking scheme(blocking.min_token_length);
-    return inputs.dirty ? scheme.Build(inputs.e1, num_threads)
-                        : scheme.Build(inputs.e1, inputs.e2, num_threads);
+    const size_t min_length = blocking.min_token_length;
+    return BuildKeyBlocks(
+        inputs,
+        [min_length](const EntityProfile& p) {
+          return TokenKeys(p, min_length);
+        },
+        num_threads);
   }
 };
 
@@ -56,9 +59,10 @@ class QGramBlocker : public Blocker {
   }
   BlockCollection Build(const JobInputs& inputs, const BlockingSpec& blocking,
                         size_t num_threads) const override {
-    const QGramBlocking scheme(blocking.qgram);
-    return inputs.dirty ? scheme.Build(inputs.e1, num_threads)
-                        : scheme.Build(inputs.e1, inputs.e2, num_threads);
+    const size_t q = blocking.qgram;
+    return BuildKeyBlocks(
+        inputs, [q](const EntityProfile& p) { return QGramKeys(p, q); },
+        num_threads);
   }
 };
 
@@ -81,12 +85,26 @@ class SuffixBlocker : public Blocker {
     }
     return Status::Ok();
   }
+  // The classic frequency cap of Suffix Arrays blocking: blocks larger
+  // than suffix_max_block_size are dropped, pruning uninformative short
+  // suffixes.
   BlockCollection Build(const JobInputs& inputs, const BlockingSpec& blocking,
                         size_t num_threads) const override {
-    const SuffixBlocking scheme(blocking.suffix_min_length,
-                                blocking.suffix_max_block_size);
-    return inputs.dirty ? scheme.Build(inputs.e1, num_threads)
-                        : scheme.Build(inputs.e1, inputs.e2, num_threads);
+    const size_t min_length = blocking.suffix_min_length;
+    BlockCollection raw = BuildKeyBlocks(
+        inputs,
+        [min_length](const EntityProfile& p) {
+          return SuffixKeys(p, min_length);
+        },
+        num_threads);
+    BlockCollection capped(raw.clean_clean(), raw.num_left_entities(),
+                           raw.num_right_entities());
+    for (Block& block : raw.mutable_blocks()) {
+      if (block.Size() <= blocking.suffix_max_block_size) {
+        capped.Add(std::move(block));
+      }
+    }
+    return capped;
   }
 };
 
@@ -161,5 +179,38 @@ std::vector<std::string> BlockerNames() {
 }
 
 std::string BlockerNamesJoined() { return Join(BlockerNames(), " | "); }
+
+BlockCollection BuildKeyBlocks(const JobInputs& inputs, const KeyFunction& keys,
+                               size_t num_threads) {
+  return inputs.dirty
+             ? BuildKeyBlocksDirty(inputs.e1, keys, num_threads)
+             : BuildKeyBlocksCleanClean(inputs.e1, inputs.e2, keys,
+                                        num_threads);
+}
+
+PreparedDataset PrepareInputs(const JobInputs& inputs,
+                              const BlockingSpec& blocking, size_t num_threads,
+                              const std::string& name) {
+  if (inputs.ground_truth.dirty() != inputs.dirty) {
+    throw std::invalid_argument(
+        inputs.dirty
+            ? "PrepareInputs: ground truth has Clean-Clean semantics"
+            : "PrepareInputs: ground truth has Dirty-ER semantics");
+  }
+  const Blocker* blocker = FindBlocker(blocking.scheme);
+  if (blocker == nullptr) {
+    throw std::invalid_argument("blocking scheme '" + blocking.scheme +
+                                "' is not registered (expected one of " +
+                                BlockerNamesJoined() + ")");
+  }
+  BlockCollection blocks = [&] {
+    GSMB_SPAN("blocking");
+    return PreprocessBlocks(blocker->Build(inputs, blocking, num_threads),
+                            blocking.purge_size_fraction,
+                            blocking.filter_ratio);
+  }();
+  return PrepareFromBlocks(name, std::move(blocks), inputs.ground_truth,
+                           num_threads);
+}
 
 }  // namespace gsmb::schemes

@@ -1,11 +1,16 @@
-// The blocking-scheme registry (ROADMAP item 3).
+// The blocking-scheme registry and the one preparation front door.
 //
-// Mirrors the Executor registry of gsmb::Engine: a Blocker is a named
-// strategy that turns loaded JobInputs into a raw BlockCollection. Because
-// every scheme emits the same collection type, anything downstream —
-// purging/filtering, all 8 pruning kinds, the batch/streaming/serving
-// backends, prepared-input caching/snapshots and the distributed sweep
-// tier — composes with a new scheme untouched.
+// A Blocker is a named strategy that turns loaded JobInputs into a raw
+// BlockCollection, mirroring the Executor registry of gsmb::Engine.
+// PrepareInputs is how anything — the Engine, the paper benches, the
+// examples, serving bootstrap training and the tests — blocks a dataset:
+// the spec's registered scheme, then Block Purging and Block Filtering
+// with the spec's parameters (the paper's fixed preprocessing, Section
+// 5.1), then the counting preparation of core/pipeline.h. Because every
+// scheme emits the same collection type, anything downstream — all 8
+// pruning kinds, the batch/streaming/serving backends, prepared-input
+// caching/snapshots and the distributed sweep tier — composes with a new
+// scheme untouched.
 //
 // Contract for every registered scheme:
 //   * Build() is deterministic: bit-identical output for any num_threads
@@ -20,7 +25,8 @@
 // (token, qgram, suffix, sorted-neighborhood, dynamic-sorted-neighborhood,
 // attribute-clustering, minhash-lsh) self-register on first lookup, and
 // Blocker pointers returned by FindBlocker stay valid for the process
-// lifetime.
+// lifetime. token, qgram and suffix are the key rules of
+// blocking/key_blocking.h over its shared BuildKeyBlocks* functions.
 
 #ifndef GSMB_SCHEMES_SCHEME_REGISTRY_H_
 #define GSMB_SCHEMES_SCHEME_REGISTRY_H_
@@ -30,6 +36,8 @@
 #include <vector>
 
 #include "blocking/block_collection.h"
+#include "blocking/key_blocking.h"
+#include "core/pipeline.h"
 #include "gsmb/prepared.h"
 #include "gsmb/status.h"
 
@@ -70,6 +78,23 @@ std::vector<std::string> BlockerNames();
 
 /// "token | qgram | ..." — BlockerNames() joined for diagnostics.
 std::string BlockerNamesJoined();
+
+/// One key-blocking build over the job's inputs: BuildKeyBlocksDirty over
+/// e1 for Dirty ER, BuildKeyBlocksCleanClean over (e1, e2) otherwise.
+BlockCollection BuildKeyBlocks(const JobInputs& inputs, const KeyFunction& keys,
+                               size_t num_threads);
+
+/// Prepares a dataset: FindBlocker(blocking.scheme)->Build, then Block
+/// Purging (blocking.purge_size_fraction) and Block Filtering
+/// (blocking.filter_ratio), then PrepareFromBlocks under `name`.
+/// Bit-identical for any `num_threads`. Throws std::invalid_argument when
+/// the scheme is not registered or when `inputs.dirty` disagrees with the
+/// ground truth's semantics (a Clean-Clean ground truth over one
+/// collection, or the reverse). Per-scheme params are not validated here;
+/// JobSpec::Validate does that for Engine jobs.
+PreparedDataset PrepareInputs(const JobInputs& inputs,
+                              const BlockingSpec& blocking, size_t num_threads,
+                              const std::string& name);
 
 }  // namespace gsmb::schemes
 

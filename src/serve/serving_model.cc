@@ -23,23 +23,6 @@ std::vector<double> ServingModel::PredictRows(const Matrix& x) const {
   return out;
 }
 
-ServingModel TrainServingModel(const EntityCollection& labelled,
-                               const GroundTruth& ground_truth,
-                               const FeatureSet& features,
-                               const ServingModelTraining& options,
-                               size_t* training_size) {
-  if (ground_truth.empty()) {
-    throw std::invalid_argument(
-        "TrainServingModel: ground truth has no labelled matches");
-  }
-  BlockingOptions blocking = options.blocking;
-  blocking.execution = options.execution;
-  const PreparedDataset prep =
-      PrepareDirty("serving-bootstrap", labelled, ground_truth, blocking);
-  return TrainServingModelFromPrepared(prep, features, options,
-                                       training_size);
-}
-
 ServingModel TrainServingModelFromPrepared(const PreparedDataset& prepared,
                                            const FeatureSet& features,
                                            const ServingModelTraining& options,
@@ -62,8 +45,8 @@ ServingModel TrainServingModelFromPrepared(const PreparedDataset& prepared,
       trained.model->CoefficientsWithIntercept();
   if (coefficients.size() != features.Dimensions() + 1) {
     throw std::runtime_error(
-        "TrainServingModel: classifier has no raw-space linear form (use "
-        "logistic regression or linear SVC)");
+        "TrainServingModelFromPrepared: classifier has no raw-space linear "
+        "form (use logistic regression or linear SVC)");
   }
   ServingModel model;
   model.features = features;

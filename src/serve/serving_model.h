@@ -19,8 +19,6 @@
 
 #include "core/feature_set.h"
 #include "core/pipeline.h"
-#include "er/entity_collection.h"
-#include "er/ground_truth.h"
 #include "gsmb/execution.h"
 #include "ml/classifier.h"
 #include "util/matrix.h"
@@ -52,33 +50,22 @@ struct ServingModelTraining {
   ClassifierKind classifier = ClassifierKind::kLogisticRegression;
   size_t train_per_class = 250;
   uint64_t seed = 0;
-  /// Preprocessing TrainServingModel applies to the bootstrap collection
-  /// (paper defaults).
-  BlockingOptions blocking;
-  /// Shared execution knobs; also applied to `blocking`.
+  /// Shared execution knobs (feature extraction and fitting).
   ExecutionOptions execution;
 };
 
-/// Trains a classifier on a labelled Dirty-ER collection (Token Blocking ->
-/// purging -> filtering -> balanced sample -> features of the sampled pairs
-/// -> fit) and returns its raw-space linear form: PrepareDirty, then
-/// TrainServingModelFromPrepared. Throws when the chosen classifier has no
-/// linear representation (Gaussian Naive Bayes) or when the data yields too
-/// few labelled candidate pairs to train. `training_size` (optional)
-/// receives the balanced sample's actual size.
-ServingModel TrainServingModel(const EntityCollection& labelled,
-                               const GroundTruth& ground_truth,
-                               const FeatureSet& features,
-                               const ServingModelTraining& options = {},
-                               size_t* training_size = nullptr);
-
-/// Trains from an existing preparation instead of re-blocking inside the
-/// trainer: TrainFromSample (stream/streaming_executor.h) draws the batch
+/// Trains a classifier on a labelled preparation and returns its raw-space
+/// linear form. Bootstrap a session from a labelled Dirty-ER collection by
+/// preparing it with schemes::PrepareInputs (token blocking -> purging ->
+/// filtering, as the session blocks) and passing the result here.
+/// TrainFromSample (stream/streaming_executor.h) draws the batch
 /// pipeline's balanced sample and extracts features for the sampled pairs
 /// only, so the bootstrap never materialises, scores or prunes the other
-/// candidates. The model equals the one RunMetaBlocking fits on the same
-/// preparation. `options.blocking` is ignored (the preparation already
-/// applied it).
+/// candidates; the model equals the one RunMetaBlocking fits on the same
+/// preparation. Throws when the chosen classifier has no linear
+/// representation (Gaussian Naive Bayes) or when the data yields too few
+/// labelled candidate pairs to train. `training_size` (optional) receives
+/// the balanced sample's actual size.
 ServingModel TrainServingModelFromPrepared(
     const PreparedDataset& prepared, const FeatureSet& features,
     const ServingModelTraining& options = {},

@@ -10,6 +10,7 @@
 #include "blocking/block_collection.h"
 #include "blocking/block_stats.h"
 #include "blocking/entity_index.h"
+#include "blocking/key_blocking.h"
 #include "core/features.h"
 #include "gsmb/log.h"
 #include "util/thread_pool.h"
@@ -57,15 +58,9 @@ size_t MetaBlockingSession::ShardOf(const std::string& token) const {
 
 std::vector<std::string> MetaBlockingSession::TokensOf(
     const EntityProfile& profile) const {
-  // Mirrors TokenBlocking's key function so a 1-shard session blocks
-  // exactly like the batch pipeline's Token Blocking.
-  std::vector<std::string> tokens = profile.DistinctValueTokens();
-  if (options_.min_token_length > 1) {
-    std::erase_if(tokens, [this](const std::string& t) {
-      return t.size() < options_.min_token_length;
-    });
-  }
-  return tokens;
+  // The token scheme's own key rule, so a 1-shard session blocks exactly
+  // like the batch pipeline's token blocking.
+  return TokenKeys(profile, options_.min_token_length);
 }
 
 EntityId MetaBlockingSession::AddProfileLocked(const EntityProfile& profile) {

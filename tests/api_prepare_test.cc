@@ -317,5 +317,34 @@ TEST(PreparedInputsLazyBatch, MaterialisationChargedOnce) {
   EXPECT_EQ(second->retained, first->retained);
 }
 
+// The handle's one-off preparation is charged the same way: to the first
+// run executed against it, never to a later one. A cache hit reports only
+// its own in-run blocking.
+TEST(PreparedInputsLazyBatch, PreparationChargedOnce) {
+  Engine engine;
+  JobSpec spec = SmallSpec(0.1);
+  spec.execution.mode = ExecutionMode::kBatch;
+  Result<PreparedHandle> prepared = engine.Prepare(spec);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_GT((*prepared)->prepare_seconds, 0.0);
+
+  Result<JobResult> first = engine.Execute(spec, **prepared);
+  ASSERT_TRUE(first.ok());
+  EXPECT_GE(first->blocking_seconds, (*prepared)->prepare_seconds);
+  EXPECT_DOUBLE_EQ(first->telemetry.gauges.at("phase.prepare.seconds"),
+                   first->blocking_seconds);
+
+  for (ExecutionMode mode :
+       {ExecutionMode::kBatch, ExecutionMode::kStreaming}) {
+    spec.execution.mode = mode;
+    Result<JobResult> later = engine.Execute(spec, **prepared);
+    ASSERT_TRUE(later.ok());
+    EXPECT_EQ(later->blocking_seconds, 0.0) << later->backend;
+    EXPECT_EQ(later->telemetry.gauges.at("phase.prepare.seconds"), 0.0)
+        << later->backend;
+    EXPECT_EQ(later->retained_digest, first->retained_digest);
+  }
+}
+
 }  // namespace
 }  // namespace gsmb

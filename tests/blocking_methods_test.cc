@@ -3,15 +3,16 @@
 
 #include <gtest/gtest.h>
 
-#include "blocking/qgram_blocking.h"
-#include "blocking/suffix_blocking.h"
-#include "blocking/token_blocking.h"
 #include "test_support.h"
 
 namespace gsmb {
 namespace {
 
+// The token, qgram and suffix schemes, reached through the scheme
+// registry (testing::SchemeBlocks builds a scheme's raw blocks).
 using testing::MakeTinyCleanClean;
+using testing::Scheme;
+using testing::SchemeBlocks;
 using testing::TinyCleanClean;
 
 const Block* FindBlock(const BlockCollection& bc, const std::string& key) {
@@ -23,7 +24,7 @@ const Block* FindBlock(const BlockCollection& bc, const std::string& key) {
 
 TEST(TokenBlocking, CleanCleanKeepsSharedKeysOnly) {
   TinyCleanClean t = MakeTinyCleanClean();
-  BlockCollection bc = TokenBlocking().Build(t.e1, t.e2);
+  BlockCollection bc = SchemeBlocks(t.e1, t.e2);
   EXPECT_TRUE(bc.clean_clean());
   EXPECT_EQ(bc.num_left_entities(), 3u);
   EXPECT_EQ(bc.num_right_entities(), 3u);
@@ -40,7 +41,7 @@ TEST(TokenBlocking, CleanCleanKeepsSharedKeysOnly) {
 
 TEST(TokenBlocking, BlockMembersAreCorrect) {
   TinyCleanClean t = MakeTinyCleanClean();
-  BlockCollection bc = TokenBlocking().Build(t.e1, t.e2);
+  BlockCollection bc = SchemeBlocks(t.e1, t.e2);
   const Block* alpha = FindBlock(bc, "alpha");
   ASSERT_NE(alpha, nullptr);
   EXPECT_EQ(alpha->left, (std::vector<EntityId>{0, 2}));
@@ -51,7 +52,7 @@ TEST(TokenBlocking, BlockMembersAreCorrect) {
 
 TEST(TokenBlocking, BlocksInLexicographicKeyOrder) {
   TinyCleanClean t = MakeTinyCleanClean();
-  BlockCollection bc = TokenBlocking().Build(t.e1, t.e2);
+  BlockCollection bc = SchemeBlocks(t.e1, t.e2);
   std::vector<std::string> keys;
   for (const Block& b : bc.blocks()) keys.push_back(b.key);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
@@ -65,7 +66,7 @@ TEST(TokenBlocking, DirtyRequiresTwoMembers) {
   p2.AddAttribute("t", "shared only2");
   c.Add(std::move(p1));
   c.Add(std::move(p2));
-  BlockCollection bc = TokenBlocking().Build(c);
+  BlockCollection bc = SchemeBlocks(c);
   EXPECT_FALSE(bc.clean_clean());
   ASSERT_EQ(bc.size(), 1u);
   EXPECT_EQ(bc[0].key, "shared");
@@ -82,7 +83,9 @@ TEST(TokenBlocking, MinTokenLengthFilters) {
   EntityProfile q("2");
   q.AddAttribute("t", "ab abcd");
   c2.Add(std::move(q));
-  BlockCollection bc = TokenBlocking(/*min_token_length=*/3).Build(c1, c2);
+  BlockingSpec blocking;
+  blocking.min_token_length = 3;
+  BlockCollection bc = SchemeBlocks(c1, c2, blocking);
   EXPECT_EQ(bc.size(), 1u);
   EXPECT_EQ(bc[0].key, "abcd");
 }
@@ -103,7 +106,7 @@ TEST(TokenBlocking, PaperExampleReproduced) {
   add("e6", "Samsung Fold foldable phone");
   add("e7", "Samsung foldable Your perfect mate phone, today 20 % discount");
 
-  BlockCollection bc = TokenBlocking().Build(c);
+  BlockCollection bc = SchemeBlocks(c);
   const Block* samsung = FindBlock(bc, "samsung");
   ASSERT_NE(samsung, nullptr);
   EXPECT_EQ(samsung->left, (std::vector<EntityId>{1, 3, 5, 6}));
@@ -117,7 +120,7 @@ TEST(TokenBlocking, PaperExampleReproduced) {
 
 TEST(QGramBlocking, ProducesGramBlocks) {
   TinyCleanClean t = MakeTinyCleanClean();
-  BlockCollection bc = QGramBlocking(3).Build(t.e1, t.e2);
+  BlockCollection bc = SchemeBlocks(t.e1, t.e2, Scheme("qgram"));
   // "alpha" trigrams: alp, lph, pha — present in both sources via a0/b0.
   EXPECT_NE(FindBlock(bc, "alp"), nullptr);
   EXPECT_NE(FindBlock(bc, "pha"), nullptr);
@@ -133,8 +136,8 @@ TEST(QGramBlocking, MoreRobustThanTokensToTypos) {
   q.AddAttribute("t", "smartphome");  // typo
   c2.Add(std::move(q));
   // Token blocking yields no block; 3-gram blocking still links them.
-  EXPECT_EQ(TokenBlocking().Build(c1, c2).size(), 0u);
-  EXPECT_GT(QGramBlocking(3).Build(c1, c2).size(), 0u);
+  EXPECT_EQ(SchemeBlocks(c1, c2).size(), 0u);
+  EXPECT_GT(SchemeBlocks(c1, c2, Scheme("qgram")).size(), 0u);
 }
 
 TEST(SuffixBlocking, EmitsSuffixKeys) {
@@ -146,7 +149,7 @@ TEST(SuffixBlocking, EmitsSuffixKeys) {
   EntityProfile q("2");
   q.AddAttribute("t", "iphone");
   c2.Add(std::move(q));
-  BlockCollection bc = SuffixBlocking(/*min_length=*/4).Build(c1, c2);
+  BlockCollection bc = SchemeBlocks(c1, c2, Scheme("suffix"));
   // Shared suffixes of length >= 4: "hone", "phone".
   EXPECT_NE(FindBlock(bc, "hone"), nullptr);
   EXPECT_NE(FindBlock(bc, "phone"), nullptr);
@@ -166,8 +169,9 @@ TEST(SuffixBlocking, CapsBlockSize) {
     q.AddAttribute("t", "common");
     c2.Add(std::move(q));
   }
-  BlockCollection bc =
-      SuffixBlocking(/*min_length=*/4, /*max_block_size=*/8).Build(c1, c2);
+  BlockingSpec blocking = Scheme("suffix");
+  blocking.suffix_max_block_size = 8;
+  BlockCollection bc = SchemeBlocks(c1, c2, blocking);
   EXPECT_EQ(bc.size(), 0u);
 }
 
@@ -233,30 +237,33 @@ EntityCollection NoisyProfiles(const char* prefix, size_t count,
 TEST(ParallelKeyExtraction, TokenBlockingDeterministicAcrossThreadCounts) {
   const EntityCollection e1 = NoisyProfiles("a", 700, 3);
   const EntityCollection e2 = NoisyProfiles("b", 650, 7);
-  const BlockCollection serial = TokenBlocking().Build(e1, e2, 1);
+  const BlockingSpec token = Scheme("token");
+  const BlockCollection serial = SchemeBlocks(e1, e2, token, 1);
   for (size_t threads : {2u, 5u, 8u}) {
-    ExpectSameCollections(serial, TokenBlocking().Build(e1, e2, threads));
+    ExpectSameCollections(serial, SchemeBlocks(e1, e2, token, threads));
   }
-  const BlockCollection dirty_serial = TokenBlocking().Build(e1, 1);
-  ExpectSameCollections(dirty_serial, TokenBlocking().Build(e1, 8));
+  const BlockCollection dirty_serial = SchemeBlocks(e1, token, 1);
+  ExpectSameCollections(dirty_serial, SchemeBlocks(e1, token, 8));
 }
 
 TEST(ParallelKeyExtraction, QGramBlockingDeterministicAcrossThreadCounts) {
   const EntityCollection e1 = NoisyProfiles("a", 400, 5);
   const EntityCollection e2 = NoisyProfiles("b", 380, 11);
-  ExpectSameCollections(QGramBlocking().Build(e1, e2, 1),
-                        QGramBlocking().Build(e1, e2, 8));
-  ExpectSameCollections(QGramBlocking().Build(e1, 1),
-                        QGramBlocking().Build(e1, 6));
+  const BlockingSpec qgram = Scheme("qgram");
+  ExpectSameCollections(SchemeBlocks(e1, e2, qgram, 1),
+                        SchemeBlocks(e1, e2, qgram, 8));
+  ExpectSameCollections(SchemeBlocks(e1, qgram, 1),
+                        SchemeBlocks(e1, qgram, 6));
 }
 
 TEST(ParallelKeyExtraction, SuffixBlockingDeterministicAcrossThreadCounts) {
   const EntityCollection e1 = NoisyProfiles("a", 400, 13);
   const EntityCollection e2 = NoisyProfiles("b", 420, 17);
-  ExpectSameCollections(SuffixBlocking().Build(e1, e2, 1),
-                        SuffixBlocking().Build(e1, e2, 8));
-  ExpectSameCollections(SuffixBlocking().Build(e1, 1),
-                        SuffixBlocking().Build(e1, 3));
+  const BlockingSpec suffix = Scheme("suffix");
+  ExpectSameCollections(SchemeBlocks(e1, e2, suffix, 1),
+                        SchemeBlocks(e1, e2, suffix, 8));
+  ExpectSameCollections(SchemeBlocks(e1, suffix, 1),
+                        SchemeBlocks(e1, suffix, 3));
 }
 
 

@@ -7,11 +7,11 @@
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
 #include "blocking/candidate_pairs.h"
-#include "blocking/token_blocking.h"
 #include "core/features.h"
 #include "datasets/clean_clean_generator.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
+#include "test_support.h"
 
 namespace gsmb {
 namespace {
@@ -27,7 +27,7 @@ TEST_P(SchemeBoundsSweep, CleanCleanBounds) {
   spec.seed = GetParam();
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
 
-  BlockCollection blocks = TokenBlocking().Build(data.e1, data.e2);
+  BlockCollection blocks = testing::SchemeBlocks(data.e1, data.e2);
   blocks = BlockPurging().Apply(blocks);
   blocks = BlockFiltering().Apply(blocks);
   EntityIndex index(blocks);
@@ -69,7 +69,7 @@ TEST_P(SchemeBoundsSweep, DirtyBounds) {
   spec.seed = GetParam();
   GeneratedDirty data = DirtyGenerator().Generate(spec);
 
-  BlockCollection blocks = TokenBlocking().Build(data.entities);
+  BlockCollection blocks = testing::SchemeBlocks(data.entities);
   blocks = BlockPurging().Apply(blocks);
   blocks = BlockFiltering().Apply(blocks);
   EntityIndex index(blocks);

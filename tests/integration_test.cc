@@ -3,15 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include "blocking/block_filtering.h"
-#include "blocking/block_purging.h"
-#include "blocking/qgram_blocking.h"
 #include "core/unsupervised.h"
 #include "datasets/clean_clean_generator.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/io.h"
 #include "datasets/specs.h"
 #include "eval/experiment.h"
+#include "schemes/scheme_registry.h"
 #include "test_support.h"
 
 namespace gsmb {
@@ -22,8 +20,12 @@ TEST(Integration, CleanCleanSpecsEndToEnd) {
   for (const char* name : {"AbtBuy", "DblpAcm"}) {
     CleanCleanSpec spec = CleanCleanSpecByName(name, 0.1);
     GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-    PreparedDataset prep = PrepareCleanClean(
-        spec.name, data.e1, data.e2, std::move(data.ground_truth));
+    JobInputs inputs;
+    inputs.e1 = std::move(data.e1);
+    inputs.e2 = std::move(data.e2);
+    inputs.ground_truth = std::move(data.ground_truth);
+    PreparedDataset prep =
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name);
     ASSERT_GT(prep.num_candidates(), 0u) << name;
 
     MetaBlockingConfig config;
@@ -58,13 +60,20 @@ TEST(Integration, CsvRoundTripFeedsPipeline) {
   SaveCollectionCsv(data.e2, dir + "/it_e2.csv");
   SaveGroundTruthCsv(data.ground_truth, data.e1, data.e2, dir + "/it_gt.csv");
 
-  EntityCollection e1 = LoadCollectionCsv(dir + "/it_e1.csv");
-  EntityCollection e2 = LoadCollectionCsv(dir + "/it_e2.csv");
-  GroundTruth gt = LoadGroundTruthCsv(dir + "/it_gt.csv", e1, e2, false);
+  JobInputs disk;
+  disk.e1 = LoadCollectionCsv(dir + "/it_e1.csv");
+  disk.e2 = LoadCollectionCsv(dir + "/it_e2.csv");
+  disk.ground_truth =
+      LoadGroundTruthCsv(dir + "/it_gt.csv", disk.e1, disk.e2, false);
+  JobInputs memory;
+  memory.e1 = std::move(data.e1);
+  memory.e2 = std::move(data.e2);
+  memory.ground_truth = std::move(data.ground_truth);
 
-  PreparedDataset from_disk = PrepareCleanClean("disk", e1, e2, gt);
-  PreparedDataset from_memory = PrepareCleanClean(
-      "mem", data.e1, data.e2, std::move(data.ground_truth));
+  PreparedDataset from_disk =
+      schemes::PrepareInputs(disk, BlockingSpec{}, 1, "disk");
+  PreparedDataset from_memory =
+      schemes::PrepareInputs(memory, BlockingSpec{}, 1, "mem");
   EXPECT_EQ(from_disk.num_candidates(), from_memory.num_candidates());
   EXPECT_DOUBLE_EQ(from_disk.blocking_quality.recall,
                    from_memory.blocking_quality.recall);
@@ -105,11 +114,13 @@ TEST(Integration, TrainingSizeFiftySufficesOnCleanData) {
 TEST(Integration, QGramBlocksFeedPipelineToo) {
   CleanCleanSpec spec = CleanCleanSpecByName("AbtBuy", 0.06);
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-  BlockCollection raw = QGramBlocking(4).Build(data.e1, data.e2);
-  BlockCollection processed =
-      BlockFiltering().Apply(BlockPurging().Apply(raw));
-  PreparedDataset prep = PrepareFromBlocks("qgrams", std::move(processed),
-                                           std::move(data.ground_truth));
+  JobInputs inputs;
+  inputs.e1 = std::move(data.e1);
+  inputs.e2 = std::move(data.e2);
+  inputs.ground_truth = std::move(data.ground_truth);
+  BlockingSpec blocking = testing::Scheme("qgram");
+  blocking.qgram = 4;
+  PreparedDataset prep = schemes::PrepareInputs(inputs, blocking, 1, "qgrams");
   EXPECT_GT(prep.num_candidates(), 0u);
   MetaBlockingConfig config;
   config.train_per_class = 15;

@@ -5,7 +5,6 @@
 
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
-#include "blocking/token_blocking.h"
 #include "core/pipeline.h"
 #include "datasets/clean_clean_generator.h"
 #include "datasets/specs.h"
@@ -20,7 +19,7 @@ TEST_P(FilterRatioSweep, SmallerRatioNeverAddsComparisons) {
   CleanCleanSpec spec = CleanCleanSpecByName("ImdbTmdb", 0.05);
   GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
   BlockCollection raw =
-      BlockPurging().Apply(TokenBlocking().Build(data.e1, data.e2));
+      BlockPurging().Apply(testing::SchemeBlocks(data.e1, data.e2));
 
   const double ratio = GetParam();
   BlockCollection filtered = BlockFiltering(ratio).Apply(raw);

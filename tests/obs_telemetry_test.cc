@@ -207,12 +207,11 @@ TEST(Telemetry, AllThreeBackendsReportTheSamePhaseSet) {
   // Satellite of ApplyPhaseTimings: one writer of JobResult timing fields
   // means one phase vocabulary — a gauge key present in one backend's
   // snapshot but missing from another's would mean a backend bypassed it.
-  // The phases must also add up. On a fresh engine per backend each run
-  // pays its own preparation, so preparation + per-run phases can never
-  // exceed the run's measured wall time. On one shared engine the later
-  // runs are prepare-cache hits: their per-run phases must still fit the
-  // wall, but blocking_seconds carries the cached handle's preparation
-  // time, which those runs never paid, so it is left out of that bound.
+  // The phases must also add up: preparation + per-run phases can never
+  // exceed the run's measured wall time. On a fresh engine per backend
+  // each run pays its own preparation. On one shared engine the later runs
+  // are prepare-cache hits, which never paid the handle's preparation and
+  // so must not report it in blocking_seconds.
   JobSpec spec;
   spec.dataset.source = DatasetSource::kGeneratedDirty;
   spec.dataset.name = "D10K";
@@ -243,11 +242,9 @@ TEST(Telemetry, AllThreeBackendsReportTheSamePhaseSet) {
       const double wall_seconds = watch.ElapsedSeconds();
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_LE(result->total_seconds, wall_seconds) << result->backend;
-      if (!shared_engine || mode == ExecutionMode::kBatch) {
-        EXPECT_LE(result->blocking_seconds + result->total_seconds,
-                  wall_seconds)
-            << result->backend;
-      }
+      EXPECT_LE(result->blocking_seconds + result->total_seconds,
+                wall_seconds)
+          << result->backend;
       std::set<std::string> keys;
       for (const auto& [name, value] : result->telemetry.gauges) {
         if (name.rfind("phase.", 0) == 0) keys.insert(name);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "schemes/scheme_registry.h"
 #include "test_support.h"
 
 namespace gsmb {
@@ -39,11 +40,18 @@ TEST(Prepare, DirtyProducesConsistentState) {
 
 TEST(Prepare, MismatchedGroundTruthSemanticsThrow) {
   testing::TinyCleanClean t = testing::MakeTinyCleanClean();
-  GroundTruth dirty_gt(/*dirty=*/true);
-  EXPECT_THROW(PrepareCleanClean("x", t.e1, t.e2, dirty_gt),
+  JobInputs clean_clean;
+  clean_clean.e1 = t.e1;
+  clean_clean.e2 = t.e2;
+  clean_clean.ground_truth = GroundTruth(/*dirty=*/true);
+  EXPECT_THROW(schemes::PrepareInputs(clean_clean, {}, 1, "x"),
                std::invalid_argument);
-  GroundTruth clean_gt(/*dirty=*/false);
-  EXPECT_THROW(PrepareDirty("x", t.e1, clean_gt), std::invalid_argument);
+  JobInputs dirty;
+  dirty.e1 = t.e1;
+  dirty.dirty = true;
+  dirty.ground_truth = GroundTruth(/*dirty=*/false);
+  EXPECT_THROW(schemes::PrepareInputs(dirty, {}, 1, "x"),
+               std::invalid_argument);
 }
 
 TEST(Prepare, FromBlocksSkipsPreprocessing) {

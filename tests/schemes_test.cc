@@ -24,6 +24,7 @@
 #include "datasets/clean_clean_generator.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
+#include "gsmb/digest.h"
 #include "gsmb/engine.h"
 #include "gsmb/job_spec.h"
 #include "gsmb/sweep.h"
@@ -349,6 +350,57 @@ TEST(SchemeSweep, OnePreparationPerSchemeBatch) {
 
 TEST(SchemeSweep, OnePreparationPerSchemeStreaming) {
   RunSchemeAxisSweep(ExecutionMode::kStreaming);
+}
+
+// ---------------------------------------------------------------------------
+// One preparation front door: the harnesses and the Engine agree
+// ---------------------------------------------------------------------------
+
+// The paper harnesses generate their data themselves and prepare it with
+// schemes::PrepareInputs (bench/bench_common.cc); the Engine loads a
+// generated JobSpec and prepares it in Engine::Prepare. For every
+// registered scheme, on Clean-Clean and on Dirty input, both must produce
+// the same blocked representation — equal prepared digests.
+TEST(SchemePreparation, HarnessPrepareInputsMatchesEnginePrepare) {
+  constexpr double kCleanScale = 0.05;
+  constexpr double kDirtyScale = 0.03;
+  GeneratedCleanClean clean_data = CleanCleanGenerator().Generate(
+      CleanCleanSpecByName("DblpAcm", kCleanScale));
+  JobInputs clean;
+  clean.e1 = std::move(clean_data.e1);
+  clean.e2 = std::move(clean_data.e2);
+  clean.ground_truth = std::move(clean_data.ground_truth);
+  const DirtySpec d10k = PaperDirtySpecs(kDirtyScale).front();
+  ASSERT_EQ(d10k.name, "D10K");
+  GeneratedDirty dirty_data = DirtyGenerator().Generate(d10k);
+  JobInputs dirty;
+  dirty.e1 = std::move(dirty_data.entities);
+  dirty.dirty = true;
+  dirty.ground_truth = std::move(dirty_data.ground_truth);
+
+  Engine engine;
+  for (const std::string& scheme : schemes::BlockerNames()) {
+    for (const bool is_dirty : {false, true}) {
+      SCOPED_TRACE(scheme + (is_dirty ? " / dirty" : " / clean-clean"));
+      JobSpec spec;
+      spec.dataset.source = is_dirty ? DatasetSource::kGeneratedDirty
+                                     : DatasetSource::kGeneratedCleanClean;
+      spec.dataset.name = is_dirty ? "D10K" : "DblpAcm";
+      spec.dataset.scale = is_dirty ? kDirtyScale : kCleanScale;
+      spec.blocking.scheme = scheme;
+      Result<PreparedHandle> engine_prepared = engine.Prepare(spec);
+      ASSERT_TRUE(engine_prepared.ok())
+          << engine_prepared.status().ToString();
+
+      const PreparedDataset harness = schemes::PrepareInputs(
+          is_dirty ? dirty : clean, spec.blocking, 1, "harness");
+      EXPECT_GT(harness.num_candidates(), 0u);
+      EXPECT_EQ(harness.num_candidates(),
+                (*engine_prepared)->num_candidates());
+      EXPECT_EQ(obs::PreparedStreamDigest(harness),
+                (*engine_prepared)->prepared_digest);
+    }
+  }
 }
 
 }  // namespace

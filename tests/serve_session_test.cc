@@ -14,11 +14,12 @@
 #include "blocking/block_stats.h"
 #include "blocking/candidate_pairs.h"
 #include "blocking/entity_index.h"
-#include "blocking/token_blocking.h"
 #include "core/features.h"
 #include "datasets/dirty_generator.h"
+#include "schemes/scheme_registry.h"
 #include "serve/session.h"
 #include "serve/serving_model.h"
+#include "test_support.h"
 
 namespace gsmb {
 namespace {
@@ -41,12 +42,16 @@ const GeneratedDirty& TestData() {
 // an independent generated dataset (different seed than the serving data).
 const ServingModel& TestModel() {
   static const ServingModel model = [] {
-    const GeneratedDirty labelled =
-        DirtyGenerator().Generate(TestSpec(400, 23));
+    GeneratedDirty labelled = DirtyGenerator().Generate(TestSpec(400, 23));
+    JobInputs inputs;
+    inputs.e1 = std::move(labelled.entities);
+    inputs.dirty = true;
+    inputs.ground_truth = std::move(labelled.ground_truth);
     ServingModelTraining training;
     training.train_per_class = 40;
-    return TrainServingModel(labelled.entities, labelled.ground_truth,
-                             FeatureSet::BlastOptimal(), training);
+    return TrainServingModelFromPrepared(
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, "bootstrap"),
+        FeatureSet::BlastOptimal(), training);
   }();
   return model;
 }
@@ -187,7 +192,7 @@ TEST(ServeSession, OneShardMatchesBatchPrimitives) {
   session.AddProfiles(entities.profiles());
   session.Refresh();
 
-  const BlockCollection blocks = TokenBlocking().Build(entities);
+  const BlockCollection blocks = testing::SchemeBlocks(entities);
   const EntityIndex index(blocks);
   const std::vector<CandidatePair> pairs = GenerateCandidatePairs(index, 1);
   const FeatureExtractor extractor(index, pairs);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/dirty_generator.h"
+#include "schemes/scheme_registry.h"
 #include "serve/session.h"
 #include "serve/serving_model.h"
 
@@ -33,12 +34,16 @@ const GeneratedDirty& TestData() {
 
 const ServingModel& TestModel() {
   static const ServingModel model = [] {
-    const GeneratedDirty labelled =
-        DirtyGenerator().Generate(TestSpec(300, 5));
+    GeneratedDirty labelled = DirtyGenerator().Generate(TestSpec(300, 5));
+    JobInputs inputs;
+    inputs.e1 = std::move(labelled.entities);
+    inputs.dirty = true;
+    inputs.ground_truth = std::move(labelled.ground_truth);
     ServingModelTraining training;
     training.train_per_class = 30;
-    return TrainServingModel(labelled.entities, labelled.ground_truth,
-                             FeatureSet::RcnpOptimal(), training);
+    return TrainServingModelFromPrepared(
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, "bootstrap"),
+        FeatureSet::RcnpOptimal(), training);
   }();
   return model;
 }

@@ -20,6 +20,7 @@
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
 #include "gsmb/telemetry.h"
+#include "schemes/scheme_registry.h"
 #include "stream/streaming_executor.h"
 #include "test_support.h"
 
@@ -169,10 +170,12 @@ const ManyChunkFixture& ManyChunkDirty() {
     spec.num_entities = 6000;
     spec.seed = 5;
     GeneratedDirty data = DirtyGenerator().Generate(spec);
+    JobInputs inputs;
+    inputs.e1 = std::move(data.entities);
+    inputs.dirty = true;
+    inputs.ground_truth = std::move(data.ground_truth);
     auto* built = new ManyChunkFixture;
-    built->prep =
-        PrepareDirty(spec.name, data.entities, std::move(data.ground_truth),
-                     BlockingOptions{.execution = {.num_threads = 4}});
+    built->prep = schemes::PrepareInputs(inputs, BlockingSpec{}, 4, spec.name);
     built->pairs = GenerateCandidatePairs(*built->prep.index, 4);
     return built;
   }();

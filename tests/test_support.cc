@@ -1,8 +1,11 @@
 #include "test_support.h"
 
+#include <stdexcept>
+
 #include "datasets/clean_clean_generator.h"
 #include "datasets/dirty_generator.h"
 #include "datasets/specs.h"
+#include "schemes/scheme_registry.h"
 #include "util/random.h"
 
 namespace gsmb::testing {
@@ -53,13 +56,55 @@ TinyCleanClean MakeTinyCleanClean() {
   return t;
 }
 
+namespace {
+
+BlockCollection BuildWithScheme(const JobInputs& inputs,
+                                const BlockingSpec& blocking,
+                                size_t num_threads) {
+  const schemes::Blocker* blocker = schemes::FindBlocker(blocking.scheme);
+  if (blocker == nullptr) {
+    throw std::invalid_argument("unknown scheme " + blocking.scheme);
+  }
+  return blocker->Build(inputs, blocking, num_threads);
+}
+
+}  // namespace
+
+BlockCollection SchemeBlocks(const EntityCollection& e1,
+                             const EntityCollection& e2,
+                             const BlockingSpec& blocking,
+                             size_t num_threads) {
+  JobInputs inputs;
+  inputs.e1 = e1;
+  inputs.e2 = e2;
+  return BuildWithScheme(inputs, blocking, num_threads);
+}
+
+BlockCollection SchemeBlocks(const EntityCollection& e,
+                             const BlockingSpec& blocking,
+                             size_t num_threads) {
+  JobInputs inputs;
+  inputs.e1 = e;
+  inputs.dirty = true;
+  return BuildWithScheme(inputs, blocking, num_threads);
+}
+
+BlockingSpec Scheme(const char* scheme) {
+  BlockingSpec blocking;
+  blocking.scheme = scheme;
+  return blocking;
+}
+
 const PreparedDataset& MediumDataset() {
   static const PreparedDataset* dataset = [] {
     CleanCleanSpec spec = CleanCleanSpecByName("DblpAcm", /*scale=*/0.25);
     GeneratedCleanClean data = CleanCleanGenerator().Generate(spec);
-    auto* prep = new PreparedDataset(PrepareCleanClean(
-        spec.name, data.e1, data.e2, std::move(data.ground_truth)));
-    return prep;
+    JobInputs inputs;
+    inputs.e1 = std::move(data.e1);
+    inputs.e2 = std::move(data.e2);
+    inputs.ground_truth = std::move(data.ground_truth);
+    return new PreparedDataset(
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name));
   }();
   return *dataset;
 }
@@ -71,9 +116,12 @@ const PreparedDataset& SmallDirtyDataset() {
     spec.num_entities = 1200;
     spec.seed = 99;
     GeneratedDirty data = DirtyGenerator().Generate(spec);
-    auto* prep = new PreparedDataset(PrepareDirty(
-        spec.name, data.entities, std::move(data.ground_truth)));
-    return prep;
+    JobInputs inputs;
+    inputs.e1 = std::move(data.entities);
+    inputs.dirty = true;
+    inputs.ground_truth = std::move(data.ground_truth);
+    return new PreparedDataset(
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, spec.name));
   }();
   return *dataset;
 }

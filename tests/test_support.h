@@ -10,6 +10,7 @@
 #include "core/pipeline.h"
 #include "er/entity_collection.h"
 #include "er/ground_truth.h"
+#include "gsmb/job_spec.h"
 
 namespace gsmb::testing {
 
@@ -40,6 +41,20 @@ struct TinyCleanClean {
   GroundTruth gt;
 };
 TinyCleanClean MakeTinyCleanClean();
+
+/// Raw (pre-purging/filtering) blocks of a registered scheme over two
+/// clean collections / one dirty collection, built through the scheme
+/// registry: FindBlocker(blocking.scheme)->Build.
+BlockCollection SchemeBlocks(const EntityCollection& e1,
+                             const EntityCollection& e2,
+                             const BlockingSpec& blocking = {},
+                             size_t num_threads = 1);
+BlockCollection SchemeBlocks(const EntityCollection& e,
+                             const BlockingSpec& blocking = {},
+                             size_t num_threads = 1);
+
+/// `scheme` with its per-scheme params left at their defaults.
+BlockingSpec Scheme(const char* scheme);
 
 /// A prepared medium synthetic Clean-Clean dataset for pipeline tests
 /// (cached across tests — preparation is deterministic).

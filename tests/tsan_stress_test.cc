@@ -29,6 +29,7 @@
 #include "gsmb/sweep.h"
 #include "gsmb/telemetry.h"
 #include "datasets/dirty_generator.h"
+#include "schemes/scheme_registry.h"
 #include "serve/serving_model.h"
 #include "serve/session.h"
 #include "util/thread_pool.h"
@@ -288,12 +289,16 @@ DirtySpec SessionData(size_t num_entities, uint64_t seed) {
 
 const ServingModel& SessionModel() {
   static const ServingModel model = [] {
-    const GeneratedDirty labelled =
-        DirtyGenerator().Generate(SessionData(300, 23));
+    GeneratedDirty labelled = DirtyGenerator().Generate(SessionData(300, 23));
+    JobInputs inputs;
+    inputs.e1 = std::move(labelled.entities);
+    inputs.dirty = true;
+    inputs.ground_truth = std::move(labelled.ground_truth);
     ServingModelTraining training;
     training.train_per_class = 30;
-    return TrainServingModel(labelled.entities, labelled.ground_truth,
-                             FeatureSet::BlastOptimal(), training);
+    return TrainServingModelFromPrepared(
+        schemes::PrepareInputs(inputs, BlockingSpec{}, 1, "bootstrap"),
+        FeatureSet::BlastOptimal(), training);
   }();
   return model;
 }

@@ -71,9 +71,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/backends.h"
 #include "api/json.h"
 #include "cli_parse.h"
-#include "datasets/io.h"
 #include "gsmb/digest.h"
 #include "gsmb/engine.h"
 #include "gsmb/job_spec.h"
@@ -1122,18 +1122,15 @@ int MigrateMain(int argc, char** argv, int begin) {
 // serve mode (REPL on a live session)
 // ---------------------------------------------------------------------------
 
-/// Loads a profile CSV with clear diagnostics for the REPL commands.
-EntityCollection LoadProfilesChecked(const std::string& path,
-                                     const std::string& role) {
-  if (!std::filesystem::exists(path)) {
-    throw std::runtime_error(role + " dataset path does not exist: " + path);
+/// Loads a profile CSV for the REPL commands (the Engine's loader and
+/// diagnostics); the command loop reports the throw.
+EntityCollection LoadReplProfiles(const std::string& path,
+                                  const std::string& role) {
+  Result<EntityCollection> collection = api::LoadProfilesChecked(path, role);
+  if (!collection.ok()) {
+    throw std::runtime_error(collection.status().message());
   }
-  EntityCollection collection = LoadCollectionCsv(path, role);
-  if (collection.empty()) {
-    throw std::runtime_error(role + " dataset " + path +
-                             " parses to zero profiles");
-  }
-  return collection;
+  return std::move(*collection);
 }
 
 void PrintServeHelp() {
@@ -1241,7 +1238,7 @@ int RunServeLoop(MetaBlockingSession& session) {
         std::string path;
         parts >> path;
         if (path.empty()) throw std::runtime_error("ingest needs a path");
-        const EntityCollection batch = LoadProfilesChecked(path, "ingest");
+        const EntityCollection batch = LoadReplProfiles(path, "ingest");
         Stopwatch watch;
         session.AddProfiles(batch.profiles());
         std::printf(
@@ -1265,7 +1262,7 @@ int RunServeLoop(MetaBlockingSession& session) {
         std::string path;
         parts >> path;
         if (path.empty()) throw std::runtime_error("queryfile needs a path");
-        const EntityCollection probes = LoadProfilesChecked(path, "query");
+        const EntityCollection probes = LoadReplProfiles(path, "query");
         for (const EntityProfile& probe : probes.profiles()) {
           std::printf("%s:\n", probe.external_id().c_str());
           // A probe that is already resident (same external id) must not
