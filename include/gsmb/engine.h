@@ -23,7 +23,8 @@
 // sections — and Execute(spec, prepared) runs the cheap per-configuration
 // stages (features, train, classify, prune) against it. Repeated Run()s
 // over the same dataset+blocking therefore prepare once; parameter sweeps
-// are first-class through RunSweep (gsmb/sweep.h).
+// are first-class through RunSweep (gsmb/sweep.h), which also scores each
+// group of variants that differ only in pruning once.
 //
 // Equivalence contract: for any spec every backend that Supports() it
 // retains the SAME pairs. Batch and streaming are bit-identical by
@@ -167,6 +168,20 @@ class Executor {
   /// the spec). Must retain exactly the pairs Execute(spec) would.
   virtual Result<JobResult> ExecutePrepared(const JobSpec& spec,
                                             const PreparedInputs& prepared) const;
+
+  /// The group entry point: `specs` share the prepared input and differ
+  /// only in their pruning section (and output paths), so one scoring of
+  /// the candidates serves them all. Returns one result per spec, in
+  /// order, each retaining exactly the pairs ExecutePrepared(spec) would;
+  /// one spec's failure must not fail the others. The Engine sends every
+  /// prepared execution through here — RunSweep a group per distinct
+  /// scoring, a single Execute the group of one. The default loops
+  /// ExecutePrepared (a throw fails that spec alone), which is what the
+  /// serving backend and custom backends keep; batch and streaming
+  /// override it to score the group once and prune every spec off the one
+  /// probability vector.
+  virtual std::vector<Result<JobResult>> ExecutePreparedGroup(
+      const std::vector<JobSpec>& specs, const PreparedInputs& prepared) const;
 };
 
 /// Construction-time knobs of the Engine's prepare cache.
@@ -246,9 +261,10 @@ class Engine {
   Status AdoptPrepared(PreparedHandle prepared) const;
 
   /// Expands the sweep's grid, prepares the shared dataset+blocking once
-  /// (through the cache) and executes every variant in parallel against
-  /// the shared handle. Per-variant failures are reported in the
-  /// SweepResult, never aborting sibling variants. See gsmb/sweep.h.
+  /// (through the cache), groups the variants that differ only in pruning
+  /// and executes the groups in parallel against the shared handle, each
+  /// scored once. Per-variant failures are reported in the SweepResult,
+  /// never aborting sibling variants. See gsmb/sweep.h.
   Result<SweepResult> RunSweep(const SweepSpec& sweep) const;
 
   /// Counters of the prepare cache (hits/misses/evictions, residency).
@@ -263,12 +279,19 @@ class Engine {
  private:
   struct PrepareCache;
 
-  /// The one dispatch step behind Execute/Run/RunOn: Supports(), then
-  /// ExecutePrepared against `prepared` (prepared through the cache when
-  /// null) or the executor's legacy Execute, then the cache budget;
-  /// exceptions become Status::Internal.
-  Result<JobResult> Dispatch(const Executor& executor, const JobSpec& spec,
-                             const PreparedInputs* prepared = nullptr) const;
+  /// The one dispatch step behind Execute/Run/RunOn/RunSweep, over a
+  /// group of specs that differ only in pruning: Supports() per spec, then
+  /// ExecutePreparedGroup against `prepared` (prepared through the cache
+  /// when null) or the executor's legacy Execute per spec, then the cache
+  /// budget; exceptions become Status::Internal. One result per spec.
+  std::vector<Result<JobResult>> Dispatch(
+      const Executor& executor, const std::vector<JobSpec>& specs,
+      const PreparedInputs* prepared = nullptr) const;
+  /// Execute() over a group (see Dispatch): each spec is validated and
+  /// matched against the handle's cache key on its own; the backend is
+  /// resolved once, from the first valid spec.
+  std::vector<Result<JobResult>> ExecuteGroup(
+      const std::vector<JobSpec>& specs, const PreparedInputs& prepared) const;
   /// Re-runs the cache's eviction policy (lazy batch materialisation can
   /// grow an entry after its insert-time check).
   void EnforcePrepareBudget() const;

@@ -6,8 +6,19 @@
 // once — a base JobSpec plus per-axis value lists — and Engine::RunSweep
 // expands it, prepares each distinct dataset+blocking exactly once (through
 // the engine's prepare cache; without a scheme axis that is ONE shared
-// preparation), executes the variants in parallel against the shared
-// PreparedInputs, and reports one structured SweepResult.
+// preparation), and reports one structured SweepResult.
+//
+// Execution scores each group once. Variants that differ only in their
+// pruning read the same classifier probabilities (the paper's Generalized
+// Supervised Meta-blocking weights the blocking graph once, then any
+// pruning algorithm runs over it), so RunSweep groups them — same
+// preparation, same features, classifier, labels and seed — and runs the
+// groups in parallel against the shared PreparedInputs. The batch and
+// streaming backends extract features, train and classify once per group
+// and run every pruning kind of the group off that one probability vector.
+// Each variant's retained pairs stay bit-identical to an independent Run.
+// The group's shared feature/train/classify time is charged to its first
+// variant in expansion order; the others report their own prune time only.
 //
 // Like JobSpec, a SweepSpec serializes to versioned JSON with
 // reject-don't-ignore validation:

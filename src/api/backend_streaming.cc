@@ -9,11 +9,13 @@
 //              streaming-only sweep never materialises the O(|C|) pairs.
 //
 // Retained pairs are bit-identical across the two for any shard/thread
-// count (stream/streaming_executor.h documents why). Retained CSV rows
-// stream straight to disk from the executor's sink, so neither mode
-// buffers O(retained) memory for them.
+// count (stream/streaming_executor.h documents why). Both take a GROUP of
+// specs that differ only in pruning — a single run is the group of one —
+// and score it once. Retained CSV rows stream straight to disk from each
+// spec's sink, so neither mode buffers O(retained) memory for them.
 
 #include <utility>
+#include <vector>
 
 #include "api/backends.h"
 #include "gsmb/digest.h"
@@ -24,11 +26,68 @@ namespace gsmb::api {
 
 namespace {
 
-Result<JobResult> RunExecutorOn(const JobSpec& spec,
-                                const PreparedInputs& prepared, bool batch) {
+/// Runs a group of specs that differ only in their pruning section: the
+/// executor scores the candidates once and prunes every spec off that one
+/// score. One result per spec, in order; a spec whose CSV cannot be
+/// written fails alone. The handle's one-off costs and the group's shared
+/// stages are charged to the first spec that runs.
+std::vector<Result<JobResult>> RunExecutorOn(const std::vector<JobSpec>& specs,
+                                             const PreparedInputs& prepared,
+                                             bool batch) {
   const JobInputs& inputs = prepared.inputs;
   const PreparedDataset& prep = prepared.dataset;
+  std::vector<Result<JobResult>> out(specs.size(),
+                                     Status::Internal("group member not run"));
 
+  // Per-spec output state. Retained pairs arrive in ascending global-index
+  // order — ascending (left, right) — so CSV rows and kept pairs are
+  // byte-identical across backends without ever materialising the
+  // retained set.
+  struct Output {
+    JobResult result;
+    std::ofstream csv;
+    obs::PairSetDigest digest;
+  };
+  std::vector<Output> outputs(specs.size());
+  std::vector<size_t> members;
+  std::vector<MetaBlockingConfig> configs;
+  std::vector<StreamingExecutor::RetainedSink> sinks;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const JobSpec& spec = specs[i];
+    Output& output = outputs[i];
+    output.result.backend = batch ? "batch" : "streaming";
+    const bool want_csv = !spec.output.retained_csv.empty();
+    if (want_csv) {
+      Result<std::ofstream> csv = OpenRetainedCsv(spec.output.retained_csv);
+      if (!csv.ok()) {
+        out[i] = csv.status();
+        continue;
+      }
+      output.csv = std::move(*csv);
+    }
+    members.push_back(i);
+    configs.push_back(ConfigFromSpec(spec));
+    // The sink is always installed: the retained-set digest is part of
+    // every JobResult (the provenance contract), not only of CSV/keep
+    // runs. The executor invokes it serially, in ascending global-index
+    // order; the digest is order-free anyway.
+    sinks.push_back([&inputs, &spec, &output, want_csv](
+                        uint32_t, const CandidatePair& pair, double) {
+      const std::string& left = inputs.ExternalLeftId(pair.left);
+      const std::string& right = inputs.ExternalRightId(pair.right);
+      output.digest.AddPair(left, right);
+      if (want_csv) {
+        AppendRetainedCsvRow(output.csv, left, right);
+        ++output.result.retained_csv_rows;
+      }
+      if (spec.output.keep_retained) {
+        output.result.retained.push_back({left, right});
+      }
+    });
+  }
+  if (members.empty()) return out;
+
+  const JobSpec& lead = specs[members.front()];
   StreamingOptions options;
   const std::vector<CandidatePair>* pairs = nullptr;
   // The handle's one-off candidate materialisation is batch's
@@ -36,72 +95,53 @@ Result<JobResult> RunExecutorOn(const JobSpec& spec,
   double materialize_seconds = 0.0;
   if (batch) {
     options.num_shards = 1;
-    pairs = &prepared.Pairs(ResolvedExecution(spec).num_threads,
+    pairs = &prepared.Pairs(ResolvedExecution(lead).num_threads,
                             &materialize_seconds);
   } else {
-    options.num_shards = spec.execution.shards;
-    options.memory_budget_mb = spec.execution.memory_budget_mb;
+    options.num_shards = lead.execution.shards;
+    options.memory_budget_mb = lead.execution.memory_budget_mb;
   }
-  StreamingExecutor executor(prep, options, pairs);
+  std::vector<StreamingResult> runs =
+      StreamingExecutor(prep, options, pairs).RunGroup(configs, sinks);
+  const double prepare_seconds = prepared.ClaimPrepareSeconds();
 
-  JobResult result;
-  result.backend = batch ? "batch" : "streaming";
+  for (size_t k = 0; k < members.size(); ++k) {
+    const size_t i = members[k];
+    const JobSpec& spec = specs[i];
+    Output& output = outputs[i];
+    StreamingResult& run = runs[k];
+    if (!spec.output.retained_csv.empty()) {
+      Status finished =
+          FinishRetainedCsv(output.csv, spec.output.retained_csv);
+      if (!finished.ok()) {
+        out[i] = finished;
+        continue;
+      }
+    }
+    JobResult& result = output.result;
+    result.metrics = run.metrics;
+    result.blocking_quality = prep.blocking_quality;
+    result.num_blocks = prep.blocks.size();
+    result.num_candidates = prep.num_candidates();
+    result.training_size = run.training_size;
+    result.model_coefficients = std::move(run.model_coefficients);
+    if (k == 0) run.phases.Add(obs::Phase::kPairs, materialize_seconds);
+    ApplyPhaseTimings(run.phases, k == 0 ? prepare_seconds : 0.0, &result);
+    result.shards_used = run.num_shards_used;
+    result.sweeps = run.sweeps;
 
-  // Retained pairs arrive in ascending global-index order — ascending
-  // (left, right) — so CSV rows and kept pairs are byte-identical across
-  // backends without ever materialising the retained set.
-  std::ofstream csv_file;
-  const bool want_csv = !spec.output.retained_csv.empty();
-  if (want_csv) {
-    Result<std::ofstream> csv = OpenRetainedCsv(spec.output.retained_csv);
-    if (!csv.ok()) return csv.status();
-    csv_file = std::move(*csv);
+    result.dataset_fingerprint = prepared.dataset_fingerprint;
+    result.prepared_digest = prepared.prepared_digest;
+    result.retained_digest = output.digest.Value();
+    result.retained_count = output.digest.count;
+    GSMB_LOG_INFO("run.done", {"backend", result.backend},
+                  {"retained", output.digest.count},
+                  {"shards", run.num_shards_used},
+                  {"retained_digest",
+                   obs::DigestHex(result.retained_digest)});
+    out[i] = std::move(result);
   }
-  // The sink is always installed: the retained-set digest is part of every
-  // JobResult (the provenance contract), not only of CSV/keep runs. The
-  // executor invokes it serially, in ascending global-index order; the
-  // digest is order-free anyway.
-  obs::PairSetDigest digest;
-  StreamingExecutor::RetainedSink sink =
-      [&](uint32_t, const CandidatePair& pair, double) {
-        const std::string& left = inputs.ExternalLeftId(pair.left);
-        const std::string& right = inputs.ExternalRightId(pair.right);
-        digest.AddPair(left, right);
-        if (want_csv) {
-          AppendRetainedCsvRow(csv_file, left, right);
-          ++result.retained_csv_rows;
-        }
-        if (spec.output.keep_retained) {
-          result.retained.push_back({left, right});
-        }
-      };
-
-  StreamingResult run = executor.Run(ConfigFromSpec(spec), sink);
-  if (want_csv) {
-    Status finished = FinishRetainedCsv(csv_file, spec.output.retained_csv);
-    if (!finished.ok()) return finished;
-  }
-
-  result.metrics = run.metrics;
-  result.blocking_quality = prep.blocking_quality;
-  result.num_blocks = prep.blocks.size();
-  result.num_candidates = prep.num_candidates();
-  result.training_size = run.training_size;
-  result.model_coefficients = run.model_coefficients;
-  run.phases.Add(obs::Phase::kPairs, materialize_seconds);
-  ApplyPhaseTimings(run.phases, prepared.ClaimPrepareSeconds(), &result);
-  result.shards_used = run.num_shards_used;
-  result.sweeps = run.sweeps;
-
-  result.dataset_fingerprint = prepared.dataset_fingerprint;
-  result.prepared_digest = prepared.prepared_digest;
-  result.retained_digest = digest.Value();
-  result.retained_count = digest.count;
-  GSMB_LOG_INFO("run.done", {"backend", result.backend},
-                {"retained", digest.count},
-                {"shards", run.num_shards_used},
-                {"retained_digest", obs::DigestHex(result.retained_digest)});
-  return result;
+  return out;
 }
 
 class ExecutorBackend : public Executor {
@@ -118,13 +158,19 @@ class ExecutorBackend : public Executor {
 
   Result<JobResult> ExecutePrepared(
       const JobSpec& spec, const PreparedInputs& prepared) const override {
-    return RunExecutorOn(spec, prepared, batch_);
+    return std::move(RunExecutorOn({spec}, prepared, batch_).front());
+  }
+
+  std::vector<Result<JobResult>> ExecutePreparedGroup(
+      const std::vector<JobSpec>& specs,
+      const PreparedInputs& prepared) const override {
+    return RunExecutorOn(specs, prepared, batch_);
   }
 
   Result<JobResult> Execute(const JobSpec& spec) const override {
     Result<PreparedHandle> prepared = BuildPreparedInputs(spec);
     if (!prepared.ok()) return prepared.status();
-    return RunExecutorOn(spec, **prepared, batch_);
+    return ExecutePrepared(spec, **prepared);
   }
 
  private:

@@ -1,6 +1,7 @@
 // Internal plumbing shared by the Engine's standard backends.
 //
-// Each backend's staged entry point is ExecutePrepared(spec, prepared): the
+// Each backend's staged entry point is ExecutePreparedGroup(specs,
+// prepared) — ExecutePrepared(spec, prepared) is its group of one: the
 // Engine loads + blocks + counts ONCE per distinct dataset+blocking pair
 // (gsmb/prepared.h, served from the prepare cache) and every backend
 // executes its per-configuration stages against that shared, immutable
@@ -76,7 +77,8 @@ void ApplyPhaseTimings(const obs::PhaseTimings& phases,
 // Batch and streaming are one execution core (api/backend_streaming.cc):
 // the StreamingExecutor at one shard over the handle's lazily materialised
 // O(|C|) pairs (batch), or at the spec's shard count regenerating each
-// shard from the counting preparation (streaming). The serving backend
+// shard from the counting preparation (streaming); both score a group of
+// specs that differ only in pruning once. The serving backend
 // trains its resident model from the handle's balanced sample alone and
 // never materialises the pairs (the session tokenizes its own ingests).
 

@@ -237,6 +237,58 @@ Result<JobResult> Executor::ExecutePrepared(const JobSpec&,
       "' does not implement ExecutePrepared (AcceptsPrepared() is false)");
 }
 
+namespace {
+
+/// `run()`, with an escaping exception turned into Status::Internal.
+template <typename Run>
+Result<JobResult> Guarded(const Executor& executor, Run run) {
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    return Status::Internal("backend '" + executor.name() +
+                            "' failed: " + e.what());
+  }
+}
+
+/// One result per spec: the status of each spec `check` rejects, and in
+/// the others' slots what `run` returns for them, in order.
+template <typename Check, typename Run>
+std::vector<Result<JobResult>> RunChecked(const std::vector<JobSpec>& specs,
+                                          Check check, Run run) {
+  std::vector<Result<JobResult>> results(specs.size(),
+                                         Status::Internal("not dispatched"));
+  std::vector<JobSpec> passed;
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    Status status = check(specs[i]);
+    if (!status.ok()) {
+      results[i] = std::move(status);
+      continue;
+    }
+    passed.push_back(specs[i]);
+    slots.push_back(i);
+  }
+  if (passed.empty()) return results;
+  std::vector<Result<JobResult>> ran = run(passed);
+  for (size_t k = 0; k < slots.size(); ++k) {
+    results[slots[k]] = std::move(ran[k]);
+  }
+  return results;
+}
+
+}  // namespace
+
+std::vector<Result<JobResult>> Executor::ExecutePreparedGroup(
+    const std::vector<JobSpec>& specs, const PreparedInputs& prepared) const {
+  std::vector<Result<JobResult>> results;
+  results.reserve(specs.size());
+  for (const JobSpec& spec : specs) {
+    results.push_back(
+        Guarded(*this, [&] { return ExecutePrepared(spec, prepared); }));
+  }
+  return results;
+}
+
 // ---------------------------------------------------------------------------
 // The prepare cache: LRU over shared, immutable preparations
 // ---------------------------------------------------------------------------
@@ -453,19 +505,30 @@ std::string Engine::ResolveMode(const JobSpec& spec,
 
 Result<JobResult> Engine::Execute(const JobSpec& spec,
                                   const PreparedInputs& prepared) const {
-  Status valid = spec.Validate();
-  if (!valid.ok()) return valid;
-  if (PrepareCacheKey(spec) != prepared.cache_key) {
-    return Status::InvalidArgument(
-        "Execute: the spec's dataset/blocking sections do not match the "
-        "prepared handle (prepared for " + prepared.cache_key + ")");
-  }
-  const std::string name = ResolveMode(spec, prepared);
-  const Executor* executor = FindBackend(name);
-  if (executor == nullptr) {
-    return Status::NotFound("no backend named '" + name + "' is registered");
-  }
-  return Dispatch(*executor, spec, &prepared);
+  return std::move(ExecuteGroup({spec}, prepared).front());
+}
+
+std::vector<Result<JobResult>> Engine::ExecuteGroup(
+    const std::vector<JobSpec>& specs, const PreparedInputs& prepared) const {
+  auto check = [&](const JobSpec& spec) {
+    Status valid = spec.Validate();
+    if (valid.ok() && PrepareCacheKey(spec) != prepared.cache_key) {
+      return Status::InvalidArgument(
+          "Execute: the spec's dataset/blocking sections do not match the "
+          "prepared handle (prepared for " + prepared.cache_key + ")");
+    }
+    return valid;
+  };
+  return RunChecked(specs, check, [&](const std::vector<JobSpec>& valid) {
+    const std::string name = ResolveMode(valid.front(), prepared);
+    const Executor* executor = FindBackend(name);
+    if (executor == nullptr) {
+      return std::vector<Result<JobResult>>(
+          valid.size(),
+          Status::NotFound("no backend named '" + name + "' is registered"));
+    }
+    return Dispatch(*executor, valid, &prepared);
+  });
 }
 
 void Engine::EnforcePrepareBudget() const {
@@ -484,36 +547,52 @@ PrepareCacheStats Engine::prepare_cache_stats() const {
   return stats;
 }
 
-Result<JobResult> Engine::Dispatch(const Executor& executor,
-                                   const JobSpec& spec,
-                                   const PreparedInputs* prepared) const {
-  Status supported = executor.Supports(spec);
-  if (!supported.ok()) return supported;
-  try {
+std::vector<Result<JobResult>> Engine::Dispatch(
+    const Executor& executor, const std::vector<JobSpec>& specs,
+    const PreparedInputs* prepared) const {
+  auto supports = [&](const JobSpec& spec) { return executor.Supports(spec); };
+  return RunChecked(specs, supports, [&](const std::vector<JobSpec>& group) {
+    std::vector<Result<JobResult>> ran;
     if (!executor.AcceptsPrepared()) {
       // Executors that load their own inputs (custom registrations) run
       // their legacy path; a given handle stays untouched.
-      return executor.Execute(spec);
+      for (const JobSpec& spec : group) {
+        ran.push_back(
+            Guarded(executor, [&] { return executor.Execute(spec); }));
+      }
+      return ran;
     }
     // The staged path: execute against the shared handle, preparing it
     // through the cache when the caller has none. Run() is exactly
     // Prepare + ExecutePrepared.
-    PreparedHandle cached;
-    if (prepared == nullptr) {
-      Result<PreparedHandle> built = Prepare(spec);
-      if (!built.ok()) return built.status();
-      cached = std::move(*built);
-      prepared = cached.get();
+    try {
+      PreparedHandle cached;
+      const PreparedInputs* inputs = prepared;
+      if (inputs == nullptr) {
+        Result<PreparedHandle> built = Prepare(group.front());
+        if (!built.ok()) {
+          return std::vector<Result<JobResult>>(group.size(), built.status());
+        }
+        cached = std::move(*built);
+        inputs = cached.get();
+      }
+      ran = executor.ExecutePreparedGroup(group, *inputs);
+      // Lazy materialisation (the O(|C|) candidate pairs) can grow a cached
+      // entry after its insert-time budget check; re-enforce now.
+      EnforcePrepareBudget();
+    } catch (const std::exception& e) {
+      ran.assign(group.size(), Status::Internal("backend '" + executor.name() +
+                                                "' failed: " + e.what()));
     }
-    Result<JobResult> result = executor.ExecutePrepared(spec, *prepared);
-    // Lazy materialisation (the O(|C|) candidate pairs) can grow a cached
-    // entry after its insert-time budget check; re-enforce now.
-    EnforcePrepareBudget();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal("backend '" + executor.name() +
-                            "' failed: " + e.what());
-  }
+    if (ran.size() != group.size()) {
+      ran.assign(group.size(),
+                 Status::Internal("backend '" + executor.name() +
+                                  "' returned " + std::to_string(ran.size()) +
+                                  " results for " +
+                                  std::to_string(group.size()) + " specs"));
+    }
+    return ran;
+  });
 }
 
 Result<JobResult> Engine::RunOn(const std::string& backend,
@@ -530,7 +609,7 @@ Result<JobResult> Engine::RunOn(const std::string& backend,
     return Status::NotFound("no backend named '" + backend +
                             "' is registered (have: " + known + ")");
   }
-  return Dispatch(*executor, spec);
+  return std::move(Dispatch(*executor, {spec}).front());
 }
 
 Result<JobResult> Engine::Run(const JobSpec& spec) const {

@@ -450,37 +450,68 @@ Result<SweepResult> Engine::RunSweep(const SweepSpec& sweep) const {
   result.cache_misses = after.misses - before.misses;
   result.prepare_seconds = prepare_seconds;
 
-  // Variants are independent, deterministic jobs; run them in parallel
-  // with work stealing: every slot pulls the next unclaimed variant off a
-  // shared atomic counter, so a skewed grid (BLAST vs LCP-heavy variants
-  // differ >2x in cost) never stalls on a static stripe. Results still
-  // land in expansion order regardless of which slot ran which variant.
+  for (size_t i = 0; i < variants.size(); ++i) {
+    SweepVariant& out = result.variants[i];
+    out.spec = std::move(variants[i]);
+    out.label = SweepVariantLabel(out.spec);
+    if (!sweep.retained_dir.empty()) {
+      out.spec.output.retained_csv =
+          sweep.retained_dir + "/" + out.label + ".csv";
+    }
+  }
+
+  // Score once, prune many: variants that differ only in pruning (and so
+  // in their output path) read the same classifier probabilities, so each
+  // such group is dispatched once and scored once. Groups are ordered by
+  // their first variant, members in expansion order.
+  auto scoring_key = [](JobSpec spec) {
+    spec.pruning = PruningSpec();
+    spec.output.retained_csv.clear();
+    return spec;
+  };
+  std::vector<JobSpec> group_keys;
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < result.variants.size(); ++i) {
+    JobSpec key = scoring_key(result.variants[i].spec);
+    size_t g = 0;
+    while (g < groups.size() && !(group_keys[g] == key)) ++g;
+    if (g == groups.size()) {
+      group_keys.push_back(std::move(key));
+      groups.emplace_back();
+    }
+    groups[g].push_back(i);
+  }
+
+  // Groups are independent, deterministic jobs; run them in parallel with
+  // work stealing: every slot pulls the next unclaimed group off a shared
+  // atomic counter, so a skewed grid (BLAST vs LCP-heavy groups differ >2x
+  // in cost) never stalls on a static stripe. Results still land in
+  // expansion order regardless of which slot ran which group.
   const size_t threads = api::ResolvedExecution(sweep.base).num_threads;
-  const size_t slots = std::min(std::max<size_t>(threads, 1), variants.size());
-  std::atomic<size_t> next_variant{0};
+  const size_t slots = std::min(std::max<size_t>(threads, 1), groups.size());
+  std::atomic<size_t> next_group{0};
   ParallelFor(slots, slots, [&](size_t slot_begin, size_t slot_end) {
     (void)slot_begin;
     (void)slot_end;
     for (;;) {
-      const size_t i = next_variant.fetch_add(1, std::memory_order_relaxed);
-      if (i >= variants.size()) break;
-      SweepVariant& out = result.variants[i];
-      out.spec = std::move(variants[i]);
-      out.label = SweepVariantLabel(out.spec);
-      if (!sweep.retained_dir.empty()) {
-        out.spec.output.retained_csv =
-            sweep.retained_dir + "/" + out.label + ".csv";
-      }
-      Result<JobResult> run = Execute(out.spec, *handles.at(variant_keys[i]));
-      if (run.ok()) {
-        out.result = std::move(*run);
-        out.status = Status::Ok();
-        GSMB_LOG_INFO("sweep.variant.done", {"label", out.label},
-                      {"retained", out.result.retained_count});
-      } else {
-        out.status = run.status();
-        GSMB_LOG_WARN("sweep.variant.failed", {"label", out.label},
-                      {"error", run.status().message()});
+      const size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
+      if (g >= groups.size()) break;
+      std::vector<JobSpec> specs;
+      for (size_t i : groups[g]) specs.push_back(result.variants[i].spec);
+      std::vector<Result<JobResult>> runs = ExecuteGroup(
+          specs, *handles.at(variant_keys[groups[g].front()]));
+      for (size_t k = 0; k < groups[g].size(); ++k) {
+        SweepVariant& out = result.variants[groups[g][k]];
+        if (runs[k].ok()) {
+          out.result = std::move(*runs[k]);
+          out.status = Status::Ok();
+          GSMB_LOG_INFO("sweep.variant.done", {"label", out.label},
+                        {"retained", out.result.retained_count});
+        } else {
+          out.status = runs[k].status();
+          GSMB_LOG_WARN("sweep.variant.failed", {"label", out.label},
+                        {"error", runs[k].status().message()});
+        }
       }
     }
   });

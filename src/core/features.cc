@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "gsmb/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace gsmb {
@@ -49,6 +50,7 @@ std::vector<double> FeatureExtractor::ComputeLcpPerEntity(
   ParallelFor(n, num_threads, [&](size_t begin, size_t end) {
     std::vector<uint32_t> last_seen(n, 0);
     uint32_t epoch = 0;
+    uint64_t visited = 0;  // entity-block entries swept, for the counter
     for (size_t e = begin; e < end; ++e) {
       ++epoch;
       size_t count = 0;
@@ -59,6 +61,7 @@ std::vector<double> FeatureExtractor::ComputeLcpPerEntity(
         if (index_.clean_clean()) {
           auto others = left_side ? index_.BlockRightGlobals(bid)
                                   : index_.BlockLeftGlobals(bid);
+          visited += others.size();
           for (uint32_t g : others) {
             if (last_seen[g] != epoch) {
               last_seen[g] = epoch;
@@ -66,6 +69,7 @@ std::vector<double> FeatureExtractor::ComputeLcpPerEntity(
             }
           }
         } else {
+          visited += index_.BlockLeftGlobals(bid).size();
           for (uint32_t g : index_.BlockLeftGlobals(bid)) {
             if (g != e && last_seen[g] != epoch) {
               last_seen[g] = epoch;
@@ -76,6 +80,7 @@ std::vector<double> FeatureExtractor::ComputeLcpPerEntity(
       }
       lcp[e] = static_cast<double>(count);
     }
+    obs::CounterAdd("features.lcp.entries", visited);
   });
   return lcp;
 }

@@ -62,7 +62,10 @@ class FeatureExtractor {
   }
 
   /// LCP values per *global* entity id; computed on demand by Compute() but
-  /// exposed for tests and diagnostics. Cost: one distinct-candidate sweep.
+  /// exposed for tests and diagnostics. Cost: one distinct-candidate sweep,
+  /// counted in the `features.lcp.entries` telemetry counter as the block
+  /// entries it visits: |b| per block of a Dirty ER entity, the opposite
+  /// side's members of b for a Clean-Clean one.
   std::vector<double> ComputeLcpPerEntity(size_t num_threads = 1) const;
 
  private:

@@ -25,12 +25,9 @@ void SaveCollectionCsv(const EntityCollection& collection,
 EntityCollection LoadCollectionCsv(const std::string& path,
                                    const std::string& collection_name) {
   std::vector<CsvRow> rows = ReadCsvFile(path);
-  if (rows.empty()) {
-    throw std::runtime_error("LoadCollectionCsv: empty file " + path);
-  }
   EntityCollection collection(collection_name);
   std::unordered_map<std::string, EntityId> by_external;
-  // Skip the header row.
+  // Skip the header row (a zero-byte file has none, and no profiles).
   for (size_t r = 1; r < rows.size(); ++r) {
     const CsvRow& row = rows[r];
     if (row.size() < 3) {

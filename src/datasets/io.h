@@ -24,7 +24,8 @@ void SaveCollectionCsv(const EntityCollection& collection,
                        const std::string& path);
 
 /// Reads a collection; rows with the same id (consecutive or not) merge
-/// into one profile. Throws std::runtime_error on malformed input.
+/// into one profile. A file without rows, like a header-only one, reads as
+/// an empty collection. Throws std::runtime_error on malformed input.
 EntityCollection LoadCollectionCsv(const std::string& path,
                                    const std::string& collection_name = "");
 

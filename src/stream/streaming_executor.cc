@@ -48,6 +48,54 @@ class PairRegenerator {
   size_t pivot_ = kNoPivot;
 };
 
+/// True when `a` and `b` score every candidate identically: same features,
+/// classifier, training sample and threads.
+bool SameScoring(const MetaBlockingConfig& a, const MetaBlockingConfig& b) {
+  return a.features == b.features && a.classifier == b.classifier &&
+         a.train_per_class == b.train_per_class && a.seed == b.seed &&
+         a.execution.num_threads == b.execution.num_threads;
+}
+
+/// One config's retained candidates as they are emitted, ascending by
+/// global index: counts them, counts true positives by merging with the
+/// ascending positive_indices, appends them to `kept` (when given) and
+/// forwards each to the config's sink.
+class RetainedEmitter {
+ public:
+  RetainedEmitter(const std::vector<uint64_t>& positives,
+                  const StreamingExecutor::RetainedSink* sink,
+                  std::vector<uint32_t>* kept)
+      : positives_(positives),
+        sink_(sink != nullptr && *sink ? sink : nullptr),
+        kept_(kept) {}
+
+  void operator()(uint32_t idx, const CandidatePair& pair,
+                  double probability) {
+    ++retained_;
+    while (next_positive_ < positives_.size() &&
+           positives_[next_positive_] < idx) {
+      ++next_positive_;
+    }
+    if (next_positive_ < positives_.size() &&
+        positives_[next_positive_] == idx) {
+      ++true_positives_;
+    }
+    if (kept_ != nullptr) kept_->push_back(idx);
+    if (sink_ != nullptr) (*sink_)(idx, pair, probability);
+  }
+
+  size_t retained() const { return retained_; }
+  size_t true_positives() const { return true_positives_; }
+
+ private:
+  const std::vector<uint64_t>& positives_;
+  const StreamingExecutor::RetainedSink* sink_;
+  std::vector<uint32_t>* kept_;
+  size_t next_positive_ = 0;
+  size_t retained_ = 0;
+  size_t true_positives_ = 0;
+};
+
 }  // namespace
 
 TrainedClassifier TrainFromSample(const PreparedDataset& dataset,
@@ -159,7 +207,7 @@ Matrix StreamingExecutor::ExtractShard(const ShardSlice& shard,
                                        const MetaBlockingConfig& config,
                                        const std::vector<double>* lcp,
                                        ShardArena* arena,
-                                       StreamingResult* timings) const {
+                                       obs::PhaseTimings* phases) const {
   const EntityIndex& index = *dataset_.index;
   const std::vector<uint64_t>& offsets = dataset_.pivot_offsets;
 
@@ -168,7 +216,7 @@ Matrix StreamingExecutor::ExtractShard(const ShardSlice& shard,
   if (pairs_ != nullptr) {
     arena->pairs = pairs_;
   } else {
-    obs::ScopedPhase phase(&timings->phases, obs::Phase::kPairs);
+    obs::ScopedPhase phase(phases, obs::Phase::kPairs);
     arena->pairs = &arena->own_pairs;
     arena->own_pairs.resize(shard.end_index - shard.first_index);
     const size_t pivot_begin = PivotOf(offsets, shard.first_index);
@@ -202,13 +250,32 @@ Matrix StreamingExecutor::ExtractShard(const ShardSlice& shard,
 
   // ---- Features, against the GLOBAL index: rows are bit-identical to the
   // corresponding rows of the full candidate matrix. ----
-  obs::ScopedPhase phase(&timings->phases, obs::Phase::kFeatures);
+  obs::ScopedPhase phase(phases, obs::Phase::kFeatures);
   return FeatureExtractor(index, *arena->pairs)
       .Compute(config.features, config.execution.num_threads, lcp);
 }
 
 StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
                                        const RetainedSink& sink) const {
+  return std::move(RunGroup({config}, {sink}).front());
+}
+
+std::vector<StreamingResult> StreamingExecutor::RunGroup(
+    const std::vector<MetaBlockingConfig>& configs,
+    const std::vector<RetainedSink>& sinks) const {
+  if (configs.empty()) return {};
+  const MetaBlockingConfig& config = configs.front();
+  for (const MetaBlockingConfig& other : configs) {
+    if (!SameScoring(config, other)) {
+      throw std::invalid_argument(
+          "StreamingExecutor: a group's configs may differ only in their "
+          "pruning settings");
+    }
+  }
+  if (!sinks.empty() && sinks.size() != configs.size()) {
+    throw std::invalid_argument(
+        "StreamingExecutor: a group needs one sink per config");
+  }
   const EntityIndex& index = *dataset_.index;
   const uint64_t n64 = dataset_.num_candidates();
   if (n64 > std::numeric_limits<uint32_t>::max()) {
@@ -220,16 +287,18 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   const size_t threads = config.execution.num_threads;
   const std::vector<ChunkRange> chunks = DeterministicChunks(n);
 
-  StreamingResult result;
+  std::vector<StreamingResult> results(configs.size());
+  // The group's shared stages are charged to its first config only.
+  obs::PhaseTimings& shared = results.front().phases;
   const std::vector<ShardSlice> shards =
       PlanShards(chunks.size(), config.features.Dimensions());
-  result.num_shards_used = shards.size();
+  size_t max_shard_candidates = 0;
   for (const ShardSlice& shard : shards) {
-    result.max_shard_candidates = std::max(
-        result.max_shard_candidates, shard.end_index - shard.first_index);
+    max_shard_candidates =
+        std::max(max_shard_candidates, shard.end_index - shard.first_index);
   }
   obs::GaugeMax("arena.bytes.peak",
-                static_cast<double>(result.max_shard_candidates *
+                static_cast<double>(max_shard_candidates *
                                     StreamingArenaBytesPerPair(
                                         config.features.Dimensions())));
 
@@ -238,28 +307,32 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   std::vector<double> lcp;
   const std::vector<double>* lcp_ptr = nullptr;
   if (config.features.Contains(Feature::kLcp)) {
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kFeatures);
+    obs::ScopedPhase phase(&shared, obs::Phase::kFeatures);
     lcp = FeatureExtractor(index, kNoPairs).ComputeLcpPerEntity(threads);
     lcp_ptr = &lcp;
   }
 
   std::unique_ptr<ProbabilisticClassifier> model;
   {
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kTrain);
+    obs::ScopedPhase phase(&shared, obs::Phase::kTrain);
     TrainedClassifier trained = TrainFromSample(dataset_, config, lcp_ptr);
-    result.training_size = trained.training_size;
-    result.model_coefficients = trained.model->CoefficientsWithIntercept();
+    for (StreamingResult& result : results) {
+      result.training_size = trained.training_size;
+      result.model_coefficients = trained.model->CoefficientsWithIntercept();
+      result.num_shards_used = shards.size();
+      result.max_shard_candidates = max_shard_candidates;
+    }
     model = std::move(trained.model);
   }
 
   // Scoring a shard fills the arena with its pairs and probabilities. A
-  // single shard is scored once here and stays resident for every sweep;
-  // several shards are re-scored per sweep.
+  // single shard is scored once here and stays resident for every kind and
+  // pass; several shards are scored once per pass, for every kind at once.
   ShardArena arena;
   auto score = [&](const ShardSlice& shard) {
-    const Matrix features =
-        ExtractShard(shard, config, lcp_ptr, &arena, &result);
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kClassify);
+    const Matrix features = ExtractShard(shard, config, lcp_ptr, &arena,
+                                         &shared);
+    obs::ScopedPhase phase(&shared, obs::Phase::kClassify);
     arena.probabilities = model->PredictBatch(features, threads);
   };
   const bool single_shard = shards.size() == 1;
@@ -267,101 +340,125 @@ StreamingResult StreamingExecutor::Run(const MetaBlockingConfig& config,
   auto score_if_sharded = [&](const ShardSlice& shard) {
     if (!single_shard) score(shard);
   };
-
-  // ---- Pruning context, identical to RunMetaBlocking's. ----
-  PruningContext context = PruningContext::FromIndex(index, dataset_.stats);
-  context.blast_ratio = config.blast_ratio;
-  context.validity_threshold = config.validity_threshold;
-  context.execution = config.execution;
-
-  std::unique_ptr<PruningAggregator> aggregator =
-      MakePruningAggregator(config.pruning, chunks.size(), context);
   auto resident = [&](const ShardSlice& shard) {
     return ResidentChunks{&chunks, shard.chunk_begin, shard.chunk_end,
                           arena.pairs->data(), arena.probabilities.data()};
   };
 
-  // ---- Sweep 1: accumulate per-chunk aggregates, folding after each
-  // shard — the identical fold sequence PruneWithAggregator performs. ----
-  if (aggregator->needs_accumulation()) {
-    ++result.sweeps;
-    for (const ShardSlice& shard : shards) {
-      score_if_sharded(shard);
-      obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      // Per-shard accumulate+fold latency feeds the fold-time histogram the
-      // streaming bench reports percentiles from.
-      GSMB_SPAN("shard.fold", "stream.shard.fold_us");
-      AccumulateChunks(resident(shard), threads, aggregator.get());
-    }
-    {
-      obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      aggregator->Finalize();
-    }
-  }
+  // ---- Pruning context, identical to RunMetaBlocking's. ----
+  PruningContext context = PruningContext::FromIndex(index, dataset_.stats);
+  context.execution = config.execution;
 
-  // ---- Emit the retained set, ascending by global index, counting true
-  // positives by merging it with the ascending positive_indices. ----
-  const std::vector<uint64_t>& positives = dataset_.positive_indices;
-  size_t next_positive = 0;
-  size_t retained_count = 0;
-  size_t true_positives = 0;
-  auto emit = [&](uint32_t idx, const CandidatePair& pair,
-                  double probability) {
-    ++retained_count;
-    while (next_positive < positives.size() &&
-           positives[next_positive] < idx) {
-      ++next_positive;
+  // Prunes the configs `members` off the shared score: their aggregators
+  // are alive together, and every pass over the shards feeds all of them.
+  auto prune = [&](const std::vector<size_t>& members) {
+    std::vector<std::unique_ptr<PruningAggregator>> aggregators;
+    std::vector<RetainedEmitter> emitters;
+    emitters.reserve(members.size());
+    for (size_t m : members) {
+      context.blast_ratio = configs[m].blast_ratio;
+      context.validity_threshold = configs[m].validity_threshold;
+      aggregators.push_back(
+          MakePruningAggregator(configs[m].pruning, chunks.size(), context));
+      emitters.emplace_back(
+          dataset_.positive_indices, sinks.empty() ? nullptr : &sinks[m],
+          configs[m].keep_retained ? &results[m].retained_indices : nullptr);
     }
-    if (next_positive < positives.size() && positives[next_positive] == idx) {
-      ++true_positives;
-    }
-    if (config.keep_retained) result.retained_indices.push_back(idx);
-    if (sink) sink(idx, pair, probability);
-  };
-
-  if (aggregator->emits_from_aggregates()) {
-    // Cardinality kinds: the folded top-k structures already hold the
-    // retained indices and weights; only their pairs are looked up.
-    obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-    const std::vector<RetainedCandidate> retained =
-        aggregator->TakeRetained();
-    PairRegenerator regenerator(dataset_);
-    for (const RetainedCandidate& candidate : retained) {
-      emit(candidate.index,
-           pairs_ != nullptr ? (*pairs_)[candidate.index]
-                             : regenerator.At(candidate.index),
-           candidate.probability);
-    }
-  } else {
-    // Weight-based kinds: the keep sweep applies the finalized thresholds,
-    // re-scoring each shard unless the single one is resident. Per-chunk
-    // keeps merge in chunk order, so emission is ascending.
-    ++result.sweeps;
-    for (const ShardSlice& shard : shards) {
-      score_if_sharded(shard);
-      obs::ScopedPhase phase(&result.phases, obs::Phase::kPrune);
-      for (uint32_t idx : KeepChunks(resident(shard), threads, *aggregator)) {
+    auto keep = [&](size_t k, const ShardSlice& shard) {
+      for (uint32_t idx : KeepChunks(resident(shard), threads,
+                                     *aggregators[k])) {
         const size_t local = idx - shard.first_index;
-        emit(idx, (*arena.pairs)[local], arena.probabilities[local]);
+        emitters[k](idx, (*arena.pairs)[local], arena.probabilities[local]);
+      }
+    };
+
+    // ---- Pass 1: accumulate per-chunk aggregates, folding after each
+    // shard — the identical fold sequence PruneWithAggregator performs.
+    // BCl's keep decision is stateless, so it keeps in this pass. ----
+    for (size_t k = 0; k < members.size(); ++k) ++results[members[k]].sweeps;
+    for (const ShardSlice& shard : shards) {
+      score_if_sharded(shard);
+      for (size_t k = 0; k < members.size(); ++k) {
+        obs::ScopedPhase phase(&results[members[k]].phases,
+                               obs::Phase::kPrune);
+        if (!aggregators[k]->needs_accumulation()) {
+          keep(k, shard);
+          continue;
+        }
+        // Per-shard accumulate+fold latency feeds the fold-time histogram
+        // the streaming bench reports percentiles from.
+        GSMB_SPAN("shard.fold", "stream.shard.fold_us");
+        AccumulateChunks(resident(shard), threads, aggregators[k].get());
       }
     }
+    std::vector<size_t> thresholded;  // weight-based kinds: need pass 2
+    for (size_t k = 0; k < members.size(); ++k) {
+      if (!aggregators[k]->needs_accumulation()) continue;
+      obs::ScopedPhase phase(&results[members[k]].phases, obs::Phase::kPrune);
+      aggregators[k]->Finalize();
+      if (aggregators[k]->emits_from_aggregates()) {
+        // Cardinality kinds: the folded top-k structures already hold the
+        // retained indices and weights; only their pairs are looked up.
+        PairRegenerator regenerator(dataset_);
+        for (const RetainedCandidate& candidate :
+             aggregators[k]->TakeRetained()) {
+          emitters[k](candidate.index,
+                      pairs_ != nullptr ? (*pairs_)[candidate.index]
+                                        : regenerator.At(candidate.index),
+                      candidate.probability);
+        }
+      } else {
+        thresholded.push_back(k);
+        ++results[members[k]].sweeps;
+      }
+    }
+
+    // ---- Pass 2: the weight-based kinds apply their finalized
+    // thresholds. Per-chunk keeps merge in chunk order, so emission is
+    // ascending. ----
+    if (!thresholded.empty()) {
+      for (const ShardSlice& shard : shards) {
+        score_if_sharded(shard);
+        for (size_t k : thresholded) {
+          obs::ScopedPhase phase(&results[members[k]].phases,
+                                 obs::Phase::kPrune);
+          keep(k, shard);
+        }
+      }
+    }
+    for (size_t k = 0; k < members.size(); ++k) {
+      StreamingResult& result = results[members[k]];
+      obs::CounterAdd("pairs.generated", n64);
+      obs::CounterAdd("pairs.retained", emitters[k].retained());
+      result.metrics = MetricsFromCounts(emitters[k].true_positives(),
+                                         emitters[k].retained(),
+                                         dataset_.ground_truth.size());
+    }
+  };
+
+  // Over the resident shard the kinds take turns, so only one kind's
+  // aggregates are alive at a time; over several shards they share every
+  // pass.
+  std::vector<size_t> members(configs.size());
+  std::iota(members.begin(), members.end(), 0);
+  if (single_shard) {
+    for (size_t m : members) prune({m});
+  } else {
+    prune(members);
   }
 
-  obs::CounterAdd("pairs.generated", n64);
-  obs::CounterAdd("pairs.retained", retained_count);
-
-  result.metrics = MetricsFromCounts(true_positives, retained_count,
-                                     dataset_.ground_truth.size());
-  // The legacy *_seconds fields are views of the phase clock.
-  result.generate_seconds = result.phases.Get(obs::Phase::kPairs);
-  result.feature_seconds = result.phases.Get(obs::Phase::kFeatures);
-  result.train_seconds = result.phases.Get(obs::Phase::kTrain);
-  result.classify_seconds = result.phases.Get(obs::Phase::kClassify);
-  result.prune_seconds = result.phases.Get(obs::Phase::kPrune);
-  result.total_seconds = result.generate_seconds + result.feature_seconds +
-                         result.train_seconds + result.classify_seconds +
-                         result.prune_seconds;
-  return result;
+  for (StreamingResult& result : results) {
+    // The legacy *_seconds fields are views of the phase clock.
+    result.generate_seconds = result.phases.Get(obs::Phase::kPairs);
+    result.feature_seconds = result.phases.Get(obs::Phase::kFeatures);
+    result.train_seconds = result.phases.Get(obs::Phase::kTrain);
+    result.classify_seconds = result.phases.Get(obs::Phase::kClassify);
+    result.prune_seconds = result.phases.Get(obs::Phase::kPrune);
+    result.total_seconds = result.generate_seconds + result.feature_seconds +
+                           result.train_seconds + result.classify_seconds +
+                           result.prune_seconds;
+  }
+  return results;
 }
 
 }  // namespace gsmb

@@ -7,7 +7,7 @@
 // drains them one at a time through a reusable arena:
 //
 //   shard pairs -> features (core/features.cc, global index)
-//   -> classify -> feed the shard's chunks to the pruning aggregator
+//   -> classify -> feed the shard's chunks to the pruning aggregators
 //   -> fold -> next shard
 //
 // Shard pairs are regenerated pivot by pivot, unless the caller lends the
@@ -16,16 +16,28 @@
 // pairs; the streaming backend regenerates every shard, so its peak memory
 // is O(largest shard + |E| + aggregates), never O(|C|).
 //
-// Pruning algorithms that need global per-entity state (WEP's mean, WNP's
-// and BLAST's per-node aggregates) take a second sweep that applies the
-// finalized thresholds. With several shards it re-scores each shard. A
-// single shard is scored once, after training, and its arena stays
-// resident for both sweeps. BCl needs one sweep and the cardinality kinds (CEP/CNP/RCNP) emit straight
-// from their folded top-k structures.
+// Score once, prune many. The unit of work is a GROUP: configurations that
+// differ only in their pruning settings (RunGroup; Run is the group of
+// one). Every pruning kind reads the same classifier probabilities, so the
+// group computes LCP per entity, trains, and extracts + classifies each
+// shard once, and every kind — each with its own PruningAggregator and
+// RetainedSink — prunes off that one score:
+//   * one shard: the arena is scored once and stays resident; the kinds
+//     then run their AccumulateChunks/KeepChunks over it in turn, one kind's
+//     aggregates alive at a time;
+//   * several shards: each pass scores every shard once and feeds it to
+//     every kind. The first pass accumulates (BCl keeps straight away); a
+//     second pass applies the finalized thresholds of the weight-based kinds
+//     (WEP, WNP, RWNP, BLAST), which need global per-entity state first. The
+//     cardinality kinds (CEP/CNP/RCNP) emit from their folded top-k
+//     structures and need no second pass.
+// The group's shared time (LCP, pairs, features, train, classify) is
+// charged to its first configuration; the others report only their own
+// prune time.
 //
 // Bit-identity. The retained set equals RunMetaBlocking's (the in-memory
-// reference of core/pipeline.h) for EVERY shard count and thread count, by
-// construction rather than by luck:
+// reference of core/pipeline.h) for EVERY shard count, thread count and
+// group composition, by construction rather than by luck:
 //   * shards are whole numbers of the same DeterministicChunks the
 //     in-memory pruners use, processed in ascending order through the same
 //     AccumulateChunks/KeepChunks loops (core/pruning_aggregates.h), so
@@ -39,7 +51,8 @@
 //   * TrainFromSample draws RunMetaBlocking's balanced sample with the same
 //     SampleBalancedFromPlan call (ml/sampler.h) over the same
 //     positive_indices — same training rows, same row order — so the
-//     fitted model is identical.
+//     fitted model is identical, and so is the probability every kind of a
+//     group reads.
 //
 // Deliberate departure from the serving layer (serve/session.h): serving
 // hash-shards TOKENS so a shard is refreshable in isolation; here shards
@@ -146,8 +159,8 @@ class StreamingExecutor {
   StreamingExecutor(const PreparedDataset& dataset, StreamingOptions options,
                     const std::vector<CandidatePair>* pairs = nullptr);
 
-  /// Runs one configuration end to end. The retained set — and therefore
-  /// metrics and coefficients — is bit-identical to
+  /// Runs one configuration end to end: the group of one. The retained
+  /// set — and therefore metrics and coefficients — is bit-identical to
   /// RunMetaBlocking(dataset, pairs, config) on the same dataset,
   /// for any shard/thread combination.
   StreamingResult Run(const MetaBlockingConfig& config) const {
@@ -155,6 +168,18 @@ class StreamingExecutor {
   }
   StreamingResult Run(const MetaBlockingConfig& config,
                       const RetainedSink& sink) const;
+
+  /// Runs a group of configurations that differ only in their pruning
+  /// settings (kind, blast_ratio, validity_threshold) and keep_retained,
+  /// scoring the candidates once for all of them. Returns one result per
+  /// config, in order, each bit-identical to Run(config); `sinks` (empty,
+  /// or one per config, any of them empty) receive each config's retained
+  /// candidates. Shared stage time is charged to results[0]. Throws
+  /// std::invalid_argument when the configs disagree on anything that
+  /// shapes the score (features, classifier, training sample, threads).
+  std::vector<StreamingResult> RunGroup(
+      const std::vector<MetaBlockingConfig>& configs,
+      const std::vector<RetainedSink>& sinks = {}) const;
 
  private:
   struct ShardSlice {
@@ -174,7 +199,7 @@ class StreamingExecutor {
   Matrix ExtractShard(const ShardSlice& shard,
                       const MetaBlockingConfig& config,
                       const std::vector<double>* lcp, ShardArena* arena,
-                      StreamingResult* timings) const;
+                      obs::PhaseTimings* phases) const;
 
   const PreparedDataset& dataset_;
   StreamingOptions options_;

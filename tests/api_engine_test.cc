@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -232,6 +234,36 @@ TEST(EngineDiagnostics, MissingCsvPathIsNotFoundNotACrash) {
   EXPECT_NE(result.status().message().find("dataset path does not exist"),
             std::string::npos)
       << result.status().message();
+}
+
+TEST(EngineDiagnostics, ProfileFileWithoutProfilesIsInvalidArgument) {
+  // A zero-byte e1 and a header-only e1 both parse to zero profiles: the
+  // same InvalidArgument naming the path, never an internal failure.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gsmb_engine_empty_csv_test";
+  std::filesystem::create_directories(dir);
+  const std::string gt = (dir / "gt.csv").string();
+  std::ofstream(gt) << "left_id,right_id\n";
+  const std::string empty = (dir / "empty.csv").string();
+  std::ofstream(empty).close();
+  const std::string header_only = (dir / "header_only.csv").string();
+  std::ofstream(header_only) << "id,attribute,value\n";
+
+  for (const std::string& e1 : {empty, header_only}) {
+    SCOPED_TRACE(e1);
+    JobSpec spec;
+    spec.dataset.e1 = e1;
+    spec.dataset.ground_truth = gt;
+    Result<JobResult> result = SharedEngine().Run(spec);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(e1), std::string::npos)
+        << result.status().message();
+    EXPECT_NE(result.status().message().find("zero profiles"),
+              std::string::npos)
+        << result.status().message();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineDiagnostics, ServingSupportsNamesTheOffendingSetting) {

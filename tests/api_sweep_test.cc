@@ -5,7 +5,9 @@
 // exactly ONE blocking preparation (the sweep's cache counters prove it),
 // and every variant's retained pairs are bit-identical to an independent
 // Engine::Run of the corresponding single JobSpec, on the batch AND the
-// streaming backend.
+// streaming backend (one shard and several). The accounting tests check
+// that the grid is scored once per group — 2 groups, not 16 variants — and
+// that the shared time is charged once.
 
 #include "gsmb/sweep.h"
 
@@ -17,9 +19,15 @@
 
 #include "gsmb/engine.h"
 #include "gsmb/job_spec.h"
+#include "gsmb/telemetry.h"
+#include "test_support.h"
 
 namespace gsmb {
 namespace {
+
+/// A D10K scale whose candidate arena outgrows a 1 MiB streaming budget
+/// several times over.
+constexpr double kBudgetedScale = 0.2;
 
 JobSpec BaseSpec() {
   JobSpec spec;
@@ -151,11 +159,11 @@ TEST(SweepVariantLabels, AreFilesystemSafeAndDistinct) {
 // RunSweep
 // ---------------------------------------------------------------------------
 
-/// The acceptance grid: 8 pruning kinds x 2 feature sets on one backend.
-void RunTwoAxisGrid(ExecutionMode mode) {
+/// The acceptance grid: 8 pruning kinds x 2 feature sets over `base`.
+/// Every variant must run on at least `min_shards` shards.
+void RunTwoAxisGrid(const JobSpec& base, size_t min_shards = 1) {
   SweepSpec sweep;
-  sweep.base = BaseSpec();
-  sweep.base.execution.mode = mode;
+  sweep.base = base;
   sweep.axes.pruning = AllPruningKinds();
   sweep.axes.features = {FeatureSet::BlastOptimal(), FeatureSet::Paper2014()};
 
@@ -178,6 +186,7 @@ void RunTwoAxisGrid(ExecutionMode mode) {
     ASSERT_TRUE(variant.status.ok())
         << variant.label << ": " << variant.status.ToString();
     ASSERT_GT(variant.result.metrics.retained, 0u) << variant.label;
+    EXPECT_GE(variant.result.shards_used, min_shards) << variant.label;
     Result<JobResult> direct = independent.Run(variant.spec);
     ASSERT_TRUE(direct.ok())
         << variant.label << ": " << direct.status().ToString();
@@ -187,12 +196,24 @@ void RunTwoAxisGrid(ExecutionMode mode) {
   }
 }
 
+JobSpec BaseSpecIn(ExecutionMode mode) {
+  JobSpec spec = BaseSpec();
+  spec.execution.mode = mode;
+  return spec;
+}
+
 TEST(SweepEquivalence, TwoAxisGridBatch) {
-  RunTwoAxisGrid(ExecutionMode::kBatch);
+  RunTwoAxisGrid(BaseSpecIn(ExecutionMode::kBatch));
 }
 
 TEST(SweepEquivalence, TwoAxisGridStreaming) {
-  RunTwoAxisGrid(ExecutionMode::kStreaming);
+  RunTwoAxisGrid(BaseSpecIn(ExecutionMode::kStreaming));
+  // A memory budget that forces several shards: each group then scores
+  // every shard once per pass, for all of its pruning kinds at once.
+  JobSpec budgeted = BaseSpecIn(ExecutionMode::kStreaming);
+  budgeted.dataset.scale = kBudgetedScale;
+  budgeted.execution.memory_budget_mb = 1;
+  RunTwoAxisGrid(budgeted, /*min_shards=*/4);
 }
 
 TEST(SweepEquivalence, ParallelVariantExecutionIsDeterministic) {
@@ -220,6 +241,86 @@ TEST(SweepEquivalence, ParallelVariantExecutionIsDeterministic) {
     EXPECT_EQ(one->variants[i].result.retained,
               many->variants[i].result.retained);
   }
+}
+
+uint64_t CounterOf(const obs::MetricsSnapshot& metrics,
+                   const std::string& name) {
+  auto it = metrics.counters.find(name);
+  return it == metrics.counters.end() ? 0 : it->second;
+}
+
+TEST(SweepAccounting, EachGroupScoresOnceAndChargesItsFirstVariant) {
+  // 8 pruning kinds x 2 feature sets = 2 groups. Each extracts, trains and
+  // classifies once; that shared time lands on the group's first variant
+  // in expansion order — variants 0 (BLAST set) and 1 (2014 set) — while
+  // every variant still reports its own prune time and the group's model.
+  SweepSpec sweep;
+  sweep.base = BaseSpec();
+  sweep.axes.pruning = AllPruningKinds();
+  sweep.axes.features = {FeatureSet::BlastOptimal(), FeatureSet::Paper2014()};
+
+  Engine engine;
+  obs::TelemetrySink sink;
+  obs::InstallSink(&sink);
+  Result<SweepResult> result = engine.RunSweep(sweep);
+  obs::InstallSink(nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->variants.size(), 16u);
+
+  // The one 2014 group sweeps LCP once, not once per pruning kind.
+  Result<PreparedHandle> prepared = engine.Prepare(sweep.base);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(CounterOf(sink.SnapshotMetrics(), "features.lcp.entries"),
+            testing::LcpSweepEntries(*(*prepared)->dataset.index));
+
+  EngineOptions uncached;
+  uncached.prepare_cache_max_entries = 0;
+  Engine independent(uncached);
+  std::vector<size_t> carriers;
+  for (size_t i = 0; i < result->variants.size(); ++i) {
+    const SweepVariant& variant = result->variants[i];
+    ASSERT_TRUE(variant.status.ok()) << variant.label;
+    const JobResult& run = variant.result;
+    if (run.feature_seconds > 0 && run.classify_seconds > 0 &&
+        run.train_seconds > 0) {
+      carriers.push_back(i);
+    } else {
+      EXPECT_EQ(run.feature_seconds, 0.0) << variant.label;
+      EXPECT_EQ(run.train_seconds, 0.0) << variant.label;
+      EXPECT_EQ(run.classify_seconds, 0.0) << variant.label;
+      EXPECT_EQ(run.generate_seconds, 0.0) << variant.label;
+    }
+    EXPECT_GT(run.prune_seconds, 0.0) << variant.label;
+    Result<JobResult> direct = independent.Run(variant.spec);
+    ASSERT_TRUE(direct.ok()) << variant.label;
+    EXPECT_EQ(run.training_size, direct->training_size) << variant.label;
+    EXPECT_GT(run.training_size, 0u) << variant.label;
+    EXPECT_EQ(run.model_coefficients, direct->model_coefficients)
+        << variant.label;
+  }
+  EXPECT_EQ(carriers, (std::vector<size_t>{0, 1}));
+}
+
+TEST(SweepAccounting, SerialVariantTimesFitInTheSweepWallClock) {
+  // No cost is charged twice: on one thread the groups run back to back,
+  // so the variants' RT components must add up to no more than the
+  // sweep's own wall clock.
+  SweepSpec sweep;
+  sweep.base = BaseSpec();
+  sweep.base.execution.options.num_threads = 1;
+  sweep.axes.pruning = AllPruningKinds();
+  sweep.axes.features = {FeatureSet::BlastOptimal(), FeatureSet::Paper2014()};
+
+  Engine engine;
+  Result<SweepResult> result = engine.RunSweep(sweep);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->all_ok());
+  double variant_seconds = 0.0;
+  for (const SweepVariant& variant : result->variants) {
+    variant_seconds += variant.result.total_seconds;
+  }
+  EXPECT_GT(variant_seconds, 0.0);
+  EXPECT_LE(variant_seconds, result->total_seconds);
 }
 
 TEST(SweepFailures, AFailedVariantNeverAbortsItsSiblings) {

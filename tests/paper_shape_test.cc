@@ -6,9 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/features.h"
 #include "eval/experiment.h"
+#include "gsmb/telemetry.h"
 #include "test_support.h"
-#include "util/stopwatch.h"
 
 namespace gsmb {
 namespace {
@@ -93,26 +94,26 @@ TEST_F(PaperShapeTest, LargerTrainingSetsDoNotHelpPrecision) {
 }
 
 TEST_F(PaperShapeTest, LcpFeatureDominatesFeatureExtractionCost) {
-  // Figure 7/9/10 rationale: LCP is the expensive feature (an extra
-  // distinct-candidate sweep over every entity's blocks). Compare the
-  // minimum-of-5 extraction time of the LCP-bearing 2014 set against the
-  // LCP-free BLAST set; min-of-N makes the measurement robust to
-  // scheduling noise.
+  // Figure 7/9/10 rationale: LCP is the expensive feature — an extra
+  // distinct-candidate sweep over every entity's blocks, on top of the
+  // per-pair accumulation every set pays. Asserted on counted work, not
+  // wall time: the LCP-bearing 2014 set performs that sweep exactly once
+  // (Σ|b| block entries over all entities), the LCP-free BLAST set never.
   FeatureExtractor extractor(*prep_.index, testing::MediumPairs());
-  auto min_time = [&](const FeatureSet& set) {
-    double best = 1e9;
-    for (int rep = 0; rep < 5; ++rep) {
-      Stopwatch watch;
-      Matrix m = extractor.Compute(set);
-      best = std::min(best, watch.ElapsedSeconds());
-      EXPECT_EQ(m.rows(), prep_.num_candidates());
-    }
-    return best;
+  auto lcp_entries = [&](const FeatureSet& set) {
+    obs::TelemetrySink sink;
+    obs::InstallSink(&sink);
+    const Matrix m = extractor.Compute(set);
+    obs::InstallSink(nullptr);
+    EXPECT_EQ(m.rows(), prep_.num_candidates());
+    const obs::MetricsSnapshot metrics = sink.SnapshotMetrics();
+    auto it = metrics.counters.find("features.lcp.entries");
+    return it == metrics.counters.end() ? uint64_t{0} : it->second;
   };
-  min_time(FeatureSet::BlastOptimal());  // warm-up
-  const double lcp_cost = min_time(FeatureSet::Paper2014());
-  const double free_cost = min_time(FeatureSet::BlastOptimal());
-  EXPECT_GT(lcp_cost, free_cost);
+  const uint64_t sweep = testing::LcpSweepEntries(*prep_.index);
+  EXPECT_GT(sweep, prep_.num_candidates());
+  EXPECT_EQ(lcp_entries(FeatureSet::Paper2014()), sweep);
+  EXPECT_EQ(lcp_entries(FeatureSet::BlastOptimal()), 0u);
 }
 
 }  // namespace

@@ -322,5 +322,81 @@ TEST(StreamExecutorTest, RejectsUnusableOptions) {
   EXPECT_THROW(StreamingExecutor(prep, options), std::invalid_argument);
 }
 
+// Score once, prune many: a group of all 8 kinds (2014 features, so the
+// LCP sweep is shared too) must give every kind exactly its single-config
+// result — retained set, sink stream, sweeps, model — at one resident
+// shard and at several shards scored once per pass; the LCP sweep runs
+// once per group; the shared stages are charged to the first config only.
+TEST(StreamExecutorTest, GroupScoresOnceAndMatchesSingleRuns) {
+  const PreparedDataset& prep = MediumDataset();
+  std::vector<MetaBlockingConfig> configs;
+  for (PruningKind kind : AllPruningKinds()) {
+    MetaBlockingConfig config = BaseConfig(kind);
+    config.features = FeatureSet::Paper2014();
+    config.execution.num_threads = 4;
+    configs.push_back(config);
+  }
+  configs[3].validity_threshold = 0.7;  // pruning settings may differ
+  for (size_t shards : {size_t{1}, size_t{5}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StreamingOptions options;
+    options.num_shards = shards;
+    const StreamingExecutor executor(prep, options);
+    std::vector<std::vector<uint32_t>> streamed(configs.size());
+    std::vector<StreamingExecutor::RetainedSink> sinks;
+    for (size_t k = 0; k < configs.size(); ++k) {
+      sinks.push_back([&streamed, k](uint32_t index, const CandidatePair&,
+                                     double) {
+        streamed[k].push_back(index);
+      });
+    }
+    obs::TelemetrySink sink;
+    obs::InstallSink(&sink);
+    const std::vector<StreamingResult> group =
+        executor.RunGroup(configs, sinks);
+    obs::InstallSink(nullptr);
+    ASSERT_EQ(group.size(), configs.size());
+    EXPECT_EQ(sink.SnapshotMetrics().counters.at("features.lcp.entries"),
+              testing::LcpSweepEntries(*prep.index));
+    for (size_t k = 0; k < configs.size(); ++k) {
+      SCOPED_TRACE(PruningKindName(configs[k].pruning));
+      const StreamingResult single = executor.Run(configs[k]);
+      EXPECT_EQ(group[k].retained_indices, single.retained_indices);
+      EXPECT_EQ(streamed[k], single.retained_indices);
+      EXPECT_EQ(group[k].metrics.true_positives,
+                single.metrics.true_positives);
+      EXPECT_EQ(group[k].sweeps, single.sweeps);
+      EXPECT_EQ(group[k].model_coefficients, single.model_coefficients);
+      EXPECT_EQ(group[k].training_size, single.training_size);
+      EXPECT_EQ(group[k].num_shards_used, single.num_shards_used);
+      EXPECT_GT(group[k].prune_seconds, 0.0);
+      if (k == 0) {
+        EXPECT_GT(group[k].feature_seconds, 0.0);
+        EXPECT_GT(group[k].train_seconds, 0.0);
+        EXPECT_GT(group[k].classify_seconds, 0.0);
+      } else {
+        EXPECT_EQ(group[k].feature_seconds, 0.0);
+        EXPECT_EQ(group[k].train_seconds, 0.0);
+        EXPECT_EQ(group[k].classify_seconds, 0.0);
+        EXPECT_EQ(group[k].generate_seconds, 0.0);
+      }
+    }
+  }
+}
+
+TEST(StreamExecutorTest, GroupRejectsConfigsThatScoreDifferently) {
+  StreamingOptions options;
+  options.num_shards = 2;
+  const StreamingExecutor executor(MediumDataset(), options);
+  MetaBlockingConfig other_seed = BaseConfig(PruningKind::kWnp);
+  other_seed.seed = 8;
+  EXPECT_THROW(executor.RunGroup({BaseConfig(PruningKind::kBlast), other_seed}),
+               std::invalid_argument);
+  EXPECT_THROW(executor.RunGroup({BaseConfig(PruningKind::kBlast)},
+                                 {nullptr, nullptr}),
+               std::invalid_argument);
+  EXPECT_TRUE(executor.RunGroup({}).empty());
+}
+
 }  // namespace
 }  // namespace gsmb

@@ -158,4 +158,20 @@ PruningFixture RandomPruningGraph(size_t num_nodes, double density,
   return f;
 }
 
+uint64_t LcpSweepEntries(const EntityIndex& index) {
+  uint64_t entries = 0;
+  for (size_t e = 0; e < index.num_entities(); ++e) {
+    for (uint32_t bid : index.BlocksOf(e)) {
+      if (!index.clean_clean()) {
+        entries += index.BlockSize(bid);
+      } else if (e < index.num_left()) {
+        entries += index.BlockRightGlobals(bid).size();
+      } else {
+        entries += index.BlockLeftGlobals(bid).size();
+      }
+    }
+  }
+  return entries;
+}
+
 }  // namespace gsmb::testing

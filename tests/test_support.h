@@ -7,6 +7,7 @@
 
 #include "blocking/block_collection.h"
 #include "blocking/candidate_pairs.h"
+#include "blocking/entity_index.h"
 #include "core/pipeline.h"
 #include "er/entity_collection.h"
 #include "er/ground_truth.h"
@@ -80,6 +81,13 @@ struct PruningFixture {
 /// probability `density`; probabilities uniform in [0,1].
 PruningFixture RandomPruningGraph(size_t num_nodes, double density,
                                   uint64_t seed);
+
+/// The block entries one FeatureExtractor::ComputeLcpPerEntity sweep
+/// visits, counted straight from the index: Σ over entities of Σ|b| over
+/// their blocks, where a Clean-Clean entity only visits the opposite
+/// side's members of b. The `features.lcp.entries` counter must advance by
+/// exactly this much per LCP sweep.
+uint64_t LcpSweepEntries(const EntityIndex& index);
 
 }  // namespace gsmb::testing
 

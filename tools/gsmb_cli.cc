@@ -19,8 +19,9 @@
 //   gsmb sweep --config sweep.json [flags]
 //       Runs a parameter sweep (gsmb/sweep.h): expands the grid, prepares
 //       each distinct dataset+blocking ONCE (one preparation per scheme
-//       when the sweep has a "scheme" axis), executes every variant in
-//       parallel against the cached PreparedInputs. `--csv`/`--json` write
+//       when the sweep has a "scheme" axis), scores each group of variants
+//       that differ only in pruning once, and runs the groups in parallel
+//       against the cached PreparedInputs. `--csv`/`--json` write
 //       machine-readable per-variant results; `--retained-dir` writes one
 //       retained CSV per variant. Dataset/pipeline flags merge over the
 //       sweep file's base spec, exactly as `run` flags merge over a job
